@@ -33,7 +33,7 @@ import statistics
 import subprocess
 import sys
 import time
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -145,8 +145,8 @@ def deadline(seconds: float):
 
 
 def mismatches(outcome: Dict[str, object], expected: Dict[str, object]) -> List[str]:
-    """Keys of ``outcome`` whose value differs from ``expected``."""
-    return sorted(k for k in outcome if k not in expected or outcome[k] != expected[k])
+    """Keys of ``expected`` that ``outcome`` lacks or holds another value for."""
+    return sorted(k for k in expected if k not in outcome or outcome[k] != expected[k])
 
 
 class Checker:
@@ -164,14 +164,15 @@ class Checker:
         self.problems.append(message)
 
     def task(
-        self, index: int, item, fn: Callable, finish: Callable, own_timeout: bool = False
+        self, index: int, item, fn: Callable, finish: Callable, expected: dict
     ) -> Tuple[Optional[dict], float]:
         """One checked task: ``fn(item)`` is timed, ``finish`` turns its
-        raw result into the outcome; returns (outcome or None, seconds)."""
+        raw result into the outcome, which must match ``expected`` and the
+        recorded outcome; returns (outcome or None, seconds)."""
         self.attempted += 1
         seconds = 0.0
         try:
-            with nullcontext() if own_timeout else deadline(self.wl.TASK_TIMEOUT):
+            with deadline(self.wl.TASK_TIMEOUT):
                 start = time.perf_counter()
                 raw = fn(item)
                 seconds = time.perf_counter() - start
@@ -180,22 +181,21 @@ class Checker:
             self.failed += 1
             self.problem(f"{item.label}: {type(exc).__name__}: {exc}")
             return None, seconds
-        wrong = mismatches(outcome, item.expected)
+        wrong = mismatches(outcome, expected)
         if self.recorded is not None:
             wrong += mismatches(outcome, self.recorded[index])
         if wrong:
             self.failed += 1
             self.problem(
                 f"{item.label}: {sorted(set(wrong))} differ: got {outcome}, "
-                f"expected {item.expected}"
+                f"expected {expected}"
             )
             return None, seconds
         return outcome, seconds
 
     def untraced(self, index: int, item) -> Tuple[Optional[dict], float]:
-        own = getattr(self.workload, "enforces_timeout", False)
         return self.task(
-            index, item, self.workload.run, self.workload.result, own_timeout=own
+            index, item, self.workload.run, self.workload.result, item.expected
         )
 
     def traced(self, index: int, item, clock, rec) -> Tuple[Optional[dict], float]:
@@ -204,6 +204,7 @@ class Checker:
             item,
             lambda it: self.workload.trace(it, clock, rec),
             self.workload.traced_result,
+            item.traced_expected or item.expected,
         )
 
 
@@ -525,8 +526,9 @@ def self_check(wl) -> int:
 
 
 def record_expected(wl) -> int:
-    """Rewrite ``expected.json`` from the default seed's traced mirrors,
-    refusing outcomes that disagree with the oracles or the product path."""
+    """Rewrite ``expected.json`` with the default seed's product-path
+    outcomes, refusing outcomes that disagree with the oracles or with
+    the traced mirror."""
     recorded = {}
     for name in wl.WORKLOADS:
         workload = wl.WORKLOADS[name](ROOT, DEFAULT_SEED, False)
@@ -538,7 +540,7 @@ def record_expected(wl) -> int:
             clock = wl.LayerClock()
             outcome, _ = checker.traced(index, item, clock, None)
             compare_mirror(checker, item, outcome, baseline)
-            outcomes.append(outcome)
+            outcomes.append(baseline)
         if checker.failed or checker.problems:
             for message in checker.problems:
                 print(f"problem: {message}", file=sys.stderr)

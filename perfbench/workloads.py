@@ -79,6 +79,9 @@ class Item:
     expected: Dict[str, object]
     source_facts: int = 0
     size_bytes: int = 0
+    traced_expected: Optional[Dict[str, object]] = None
+    """The outcome a traced mirror must match, where the mirror sees more
+    than the product path returns (default: ``expected``)."""
 
 
 @dataclass
@@ -371,14 +374,12 @@ class DedSweep:
     """The greedy ded sweep as ``grom batch`` runs it, one spec per task."""
 
     name = "ded-sweep"
-    enforces_timeout = True
-    """``run_batch`` enforces ``TASK_TIMEOUT`` itself and records a timeout."""
 
     def __init__(self, root: Path, seed: int, small: bool = False) -> None:
         self.seed = seed
         self.small = small
         self.cache: Optional[RewriteCache] = None
-        self.options = BatchOptions(jobs=1, timeout=TASK_TIMEOUT)
+        self.options = BatchOptions(jobs=1)
 
     def _specs(self) -> List[ScenarioSpec]:
         # The structure is fixed (flag counts, product counts, widths), so
@@ -433,21 +434,23 @@ class DedSweep:
                 self.cache.store(fingerprint, rewrite(built.scenario))
             expected = shape_expectation(self._shape(item))
             expected["cache_hit"] = True
+            target = None
             if expected["status"] == "success":
                 params = item.params_dict()
                 target = running_target(
                     built.instance, params["flags"], params["name_pairs"]
                 )
-                expected["target"] = target
-                expected["target_facts"] = sum(target.values())
-            else:
-                expected["target"] = expected["target_facts"] = None
+            # A TaskRecord carries only the total target size, so the
+            # product path is checked on the total; the traced mirror
+            # sees the target and is checked per relation as well.
+            expected["target_facts"] = sum(target.values()) if target else None
             items.append(
                 Item(
                     label=item.label,
                     payload=item,
                     expected=expected,
                     source_facts=len(built.instance),
+                    traced_expected=dict(expected, target=target),
                 )
             )
         return items
