@@ -1,9 +1,11 @@
-"""Shared helpers for the experiment benchmarks (E1–E7).
+"""Shared helpers for the experiment benchmarks (E1–E14).
 
-Each benchmark module reproduces one experiment from DESIGN.md §4 and
-prints the table EXPERIMENTS.md records.  ``pytest benchmarks/
---benchmark-only`` runs them; the printed tables appear with ``-s`` (or
-in the captured output section).
+Each ``test_bench_e*`` module reproduces one experiment — a claim of
+the paper (E1–E7) or of this implementation's runtime and engine
+(E8–E14) — and prints its table; several also write a
+``BENCH_*.json`` measurement through :func:`record_bench_json`.
+``pytest benchmarks/ --benchmark-only`` runs them; the printed tables
+appear with ``-s`` (or in the captured output section).
 """
 
 from __future__ import annotations

@@ -47,6 +47,7 @@ from repro.chase.engine import (
     _binding_order,
     _ground_check,
     _resolve,
+    extract_target,
 )
 from repro.chase.parallel import parse_parallelism
 from repro.obs.recorder import resolve_recorder
@@ -413,7 +414,7 @@ class DisjunctiveChase:
             return _NodeOutcome(
                 "model",
                 factory.next_id - next_id,
-                model=self._extract_target(chased_working),
+                model=extract_target(chased_working, self.source_relations),
             )
         if depth >= self.max_branch_depth:
             return _NodeOutcome("overdepth", factory.next_id - next_id)
@@ -426,13 +427,6 @@ class DisjunctiveChase:
         )
 
     # -- internals ----------------------------------------------------------------
-
-    def _extract_target(self, working: Instance) -> Instance:
-        target = Instance()
-        for fact in working:
-            if fact.relation not in self.source_relations:
-                target.add(fact)
-        return target
 
     def _find_ded_violation(
         self, working: Instance

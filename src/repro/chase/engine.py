@@ -508,7 +508,7 @@ class StandardChase:
         stats.elapsed_seconds = time.perf_counter() - start
         if rec.enabled:
             self._harvest_metrics(rec, stats, working, plan_mark, kernel_mark)
-        target = self._extract_target(working)
+        target = extract_target(working, self.source_relations)
         return ChaseResult(
             status=status,
             target=target,
@@ -572,13 +572,6 @@ class StandardChase:
             rec.gauge("instance.intern_size", len(working.pool))
 
     # -- internals ----------------------------------------------------------------
-
-    def _extract_target(self, working: Instance) -> Instance:
-        target = Instance()
-        for fact in working:
-            if fact.relation not in self.source_relations:
-                target.add(fact)
-        return target
 
     def _chase_rounds(
         self,
@@ -945,6 +938,22 @@ class StandardChase:
                 if add_encoded(relation, values):
                     stats.facts_created += 1
             stats.tgd_fires += 1
+
+
+def extract_target(working: Instance, source_relations) -> Instance:
+    """The chased working store minus its source relations.
+
+    The copy speaks the working store's kernel: a columnar store hands
+    over its target rows as code tuples (one bulk append per relation,
+    null hints carried over), so the chase result stays encoded until a
+    reader decodes it through the :class:`Instance` read API.  Under
+    the reference kernel the copy is a set-based :class:`Instance`.
+    """
+    return working.restricted_to(
+        relation
+        for relation in working.relations()
+        if relation not in source_relations
+    )
 
 
 def _term_order(term: Term) -> Tuple:

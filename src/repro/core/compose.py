@@ -47,7 +47,7 @@ def source_database(
     database = SemanticDatabase(scenario.source_views)
     if recorder is not None:
         database.set_recorder(recorder)
-    database.add_facts(source_instance)
+    database.add_instance(source_instance)
     database.refresh()
     return database
 

@@ -20,30 +20,37 @@ shared :class:`~repro.datalog.evaluate.SemanticDatabase`) and reuses it
 across every candidate — verifying k rewritings of one scenario costs
 one source materialization, not k.
 
-Per-dependency checks are independent read-only scans, so a verifier
-may fan them across a thread pool (``parallelism``); the pool draws
-from the same worker budget as the chase's match sharding (see
-:mod:`repro.chase.parallel`), and violations are merged back in
-dependency order so reports are identical to a serial check.  When many
-candidates are checked at once, :meth:`ScenarioVerifier.verify_candidates`
-fans *whole candidates* instead — the coarser unit the branch-racing
-disjunctive search produces — with reports returned in candidate order.
+The chase hands its target over as a columnar store, and the checks
+stay on encoded rows: premise matches come off the encoded plan over
+the source side, each conclusion disjunct is an existence probe over
+the target side seeded code for code (both sides share the
+process-wide term pool), and only violating matches are decoded.
+Under :func:`~repro.relational.query.reference_evaluator` every match
+is decoded into a binding and probed through the reference evaluator
+instead — the oracle the differential suite compares against.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from operator import itemgetter
+from typing import FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.core.compose import source_database
 from repro.core.scenario import MappingScenario
-from repro.datalog.evaluate import materialize
+from repro.datalog.evaluate import SemanticDatabase
 from repro.logic.atoms import Conjunction
 from repro.logic.dependencies import Dependency
 from repro.logic.terms import Term, Variable
 from repro.relational.instance import Instance
-from repro.relational.query import evaluate_iter, exists
+from repro.relational.kernel import ColumnarInstance
+from repro.relational.query import (
+    compile_query,
+    evaluate_iter,
+    exists,
+    reference_mode_active,
+)
+from repro.relational.types import term_order_key
 
 __all__ = [
     "Violation",
@@ -94,49 +101,81 @@ class VerificationReport:
 def semantic_target(
     scenario: MappingScenario, target_instance: Instance
 ) -> Instance:
-    """``J_T ∪ Υ_T(J_T)``: the semantic view of a produced target."""
-    combined = Instance()
-    for fact in target_instance:
-        combined.add(fact)
-    if scenario.target_views is not None:
-        for fact in materialize(scenario.target_views, target_instance):
-            combined.add(fact)
-    return combined
+    """``J_T ∪ Υ_T(J_T)``: the semantic view of a produced target.
+
+    The live store of a :class:`SemanticDatabase` over the target views,
+    seeded with ``target_instance`` — as code tuples when the target is
+    columnar, so the chase's encoded rows reach the view fixpoint
+    without a decode.
+    """
+    database = SemanticDatabase(scenario.target_views)
+    database.add_instance(target_instance)
+    return database.refresh().instance
 
 
-def _check_tgd(
+def _check(
     dependency: Dependency,
-    source_side: Instance,
+    premise_side: Instance,
     target_side: Instance,
+    seeded: Optional[FrozenSet[Variable]],
+    reason: str,
     violations: List[Violation],
     max_violations: int,
 ) -> int:
+    """Count ``dependency``'s premise matches over ``premise_side`` and
+    append (up to ``max_violations``) those no conclusion disjunct
+    satisfies over ``target_side``.
+
+    Each disjunct's atoms and comparisons are probed with the match's
+    ``seeded`` variables bound (all of them when ``None``); equalities
+    compare under the full match.  Violations are appended in canonical
+    binding order, so the report does not depend on enumeration order.
+    Both sides on one term pool (the product path) run on encoded rows;
+    otherwise — including under :func:`reference_evaluator` — every
+    match is decoded into a binding.
+    """
+    if (
+        not reference_mode_active()
+        and isinstance(premise_side, ColumnarInstance)
+        and isinstance(target_side, ColumnarInstance)
+        and premise_side.pool is target_side.pool
+    ):
+        check = _check_encoded
+    else:
+        check = _check_decoded
+    matched, violating = check(
+        dependency, premise_side, target_side, seeded, max_violations
+    )
+    name = dependency.describe()
+    violations.extend(Violation(name, binding, reason) for binding in violating)
+    return matched
+
+
+def _check_decoded(dependency, premise_side, target_side, seeded, cap):
     matched = 0
-    frontier = dependency.frontier()
-    for binding in evaluate_iter(dependency.premise, source_side):
+    violating = []
+    bodies = [
+        Conjunction(atoms=disjunct.atoms, comparisons=disjunct.comparisons)
+        for disjunct in dependency.disjuncts
+    ]
+    for binding in evaluate_iter(dependency.premise, premise_side):
         matched += 1
-        satisfied = False
-        for disjunct in dependency.disjuncts:
-            seed = {v: t for v, t in binding.items() if v in frontier}
-            body = Conjunction(
-                atoms=disjunct.atoms, comparisons=disjunct.comparisons
-            )
-            equalities_ok = all(
+        seed = (
+            binding
+            if seeded is None
+            else {v: t for v, t in binding.items() if v in seeded}
+        )
+        if not any(
+            all(
                 _resolve(e.left, binding) == _resolve(e.right, binding)
                 for e in disjunct.equalities
             )
-            if equalities_ok and exists(body, target_side, seed=seed):
-                satisfied = True
-                break
-        if not satisfied and len(violations) < max_violations:
-            violations.append(
-                Violation(
-                    dependency.describe(),
-                    tuple(sorted(binding.items())),
-                    "no conclusion disjunct satisfied",
-                )
-            )
-    return matched
+            and exists(body, target_side, seed=seed)
+            for disjunct, body in zip(dependency.disjuncts, bodies)
+        ):
+            violating.append(tuple(sorted(binding.items())))
+    violating.sort(key=lambda items: tuple(term_order_key(t) for _v, t in items))
+    return matched, violating[:cap]
 
 
 def _resolve(term, binding):
@@ -145,46 +184,84 @@ def _resolve(term, binding):
     return term
 
 
-def _check_constraint(
-    dependency: Dependency,
-    target_side: Instance,
-    violations: List[Violation],
-    max_violations: int,
-) -> int:
+def _check_encoded(dependency, premise_side, target_side, seeded, cap):
+    """:func:`_check_decoded` over code rows: premise rows come off the
+    encoded plan, each disjunct probes the target with the seeded slots
+    copied code for code (one pool, so a code means the same term on
+    both sides), and equalities compare codes.  Only violating rows are
+    decoded."""
+    pool = target_side.pool
+    premise = compile_query(dependency.premise, (), premise_side).encoded(pool)
+    varlist = premise.varlist
+    bound = frozenset(varlist if seeded is None else seeded & set(varlist))
+    probes = [
+        _ConclusionProbe(disjunct, bound, premise.slot_of, target_side)
+        for disjunct in dependency.disjuncts
+    ]
     matched = 0
-    for binding in evaluate_iter(dependency.premise, target_side):
-        matched += 1
-        if not dependency.disjuncts:
-            if len(violations) < max_violations:
-                violations.append(
-                    Violation(
-                        dependency.describe(),
-                        tuple(sorted(binding.items())),
-                        "denial premise matched",
-                    )
-                )
-            continue
-        satisfied = False
-        for disjunct in dependency.disjuncts:
-            equalities_ok = all(
-                _resolve(e.left, binding) == _resolve(e.right, binding)
-                for e in disjunct.equalities
-            )
+    violating = []
+    for block in premise.blocks(premise_side):
+        matched += len(block)
+        for row in block:
+            if not any(probe.holds(row) for probe in probes):
+                violating.append(row)
+    order_key = pool.order_key
+    violating.sort(key=lambda row: tuple(map(order_key, row)))
+    decode = premise_side.decode_term
+    return matched, [
+        tuple(zip(varlist, map(decode, row))) for row in violating[:cap]
+    ]
+
+
+class _ConclusionProbe:
+    """One conclusion disjunct lowered onto premise code rows.
+
+    ``equalities`` pair two readers of a row: a premise slot, an
+    interned constant, or — for a variable the premise does not bind —
+    the variable itself, which (as in the decoded check) only equals
+    itself.  ``plan`` is the atoms-and-comparisons existence probe over
+    the target side, seeded through ``fill`` ((plan slot, row index)
+    pairs); it is ``None`` for a disjunct with neither, which always
+    holds once its equalities do.
+    """
+
+    __slots__ = ("equalities", "plan", "fill", "store")
+
+    def __init__(self, disjunct, bound, slot_of, store) -> None:
+        pool = store.pool
+        self.equalities = tuple(
+            (_reader(e.left, slot_of, pool), _reader(e.right, slot_of, pool))
+            for e in disjunct.equalities
+        )
+        self.store = store
+        self.plan = None
+        self.fill = ()
+        if disjunct.atoms or disjunct.comparisons:
             body = Conjunction(
                 atoms=disjunct.atoms, comparisons=disjunct.comparisons
             )
-            if equalities_ok and exists(body, target_side, seed=binding):
-                satisfied = True
-                break
-        if not satisfied and len(violations) < max_violations:
-            violations.append(
-                Violation(
-                    dependency.describe(),
-                    tuple(sorted(binding.items())),
-                    "constraint conclusion not satisfied",
-                )
+            self.plan = compile_query(body, bound, store).encoded(pool)
+            self.fill = tuple(
+                (self.plan.slot_of[v], slot_of[v]) for v in sorted(bound)
             )
-    return matched
+
+    def holds(self, row) -> bool:
+        for left, right in self.equalities:
+            if left(row) != right(row):
+                return False
+        return self.plan is None or self.plan.exists_filled(
+            self.store, self.fill, row
+        )
+
+
+def _reader(term, slot_of, pool):
+    if isinstance(term, Variable):
+        slot = slot_of.get(term)
+        if slot is None:
+            return lambda _row, _term=term: _term
+        return itemgetter(slot)
+    code = pool.encode(term)
+    return lambda _row, _code=code: _code
 
 
 class ScenarioVerifier:
@@ -202,12 +279,10 @@ class ScenarioVerifier:
         scenario: MappingScenario,
         source_instance: Instance,
         source_side: Optional[Instance] = None,
-        parallelism: Optional[str] = None,
     ) -> None:
         self.scenario = scenario
         self.source_instance = source_instance
         self._source_side = source_side
-        self.parallelism = parallelism
 
     @property
     def source_side(self) -> Instance:
@@ -219,46 +294,35 @@ class ScenarioVerifier:
         return self._source_side
 
     def verify(
-        self,
-        target_instance: Instance,
-        max_violations: int = 100,
-        _workers: Optional[int] = None,
+        self, target_instance: Instance, max_violations: int = 100
     ) -> VerificationReport:
-        """Check one candidate target against the semantic scenario."""
+        """Check one candidate target against the semantic scenario.
+
+        Dependencies are checked in scenario order (mappings, then
+        target constraints); the first ``max_violations`` violations in
+        that order are reported.
+        """
         report = VerificationReport(ok=True)
         source_side = self.source_side
         target_side = semantic_target(self.scenario, target_instance)
-
-        checks: List[Tuple[str, Dependency]] = [
-            ("mapping", m) for m in self.scenario.mappings
-        ] + [("constraint", c) for c in self.scenario.target_constraints]
-
-        workers = (
-            _workers if _workers is not None else self._check_workers(len(checks))
-        )
-        if workers > 1:
-            outcomes = self._run_parallel(
-                checks, source_side, target_side, max_violations, workers
+        for mapping in self.scenario.mappings:
+            report.premise_matches += _check(
+                mapping, source_side, target_side, mapping.frontier(),
+                "no conclusion disjunct satisfied", report.violations,
+                max_violations - len(report.violations),
             )
-        else:
-            outcomes = [
-                self._run_check(kind, dependency, source_side, target_side,
-                                max_violations)
-                for kind, dependency in checks
-            ]
-
-        # Merge in dependency order so the report (and its violation
-        # prefix under the cap) is identical to a serial check.
-        for (kind, _dependency), (matched, violations) in zip(checks, outcomes):
-            report.premise_matches += matched
-            if kind == "mapping":
-                report.mappings_checked += 1
-            else:
-                report.constraints_checked += 1
-            take = max_violations - len(report.violations)
-            if take > 0:
-                report.violations.extend(violations[:take])
-
+            report.mappings_checked += 1
+        for constraint in self.scenario.target_constraints:
+            reason = (
+                "constraint conclusion not satisfied"
+                if constraint.disjuncts
+                else "denial premise matched"
+            )
+            report.premise_matches += _check(
+                constraint, target_side, target_side, None, reason,
+                report.violations, max_violations - len(report.violations),
+            )
+            report.constraints_checked += 1
         report.ok = not report.violations
         return report
 
@@ -267,95 +331,13 @@ class ScenarioVerifier:
         target_instances: Sequence[Instance],
         max_violations: int = 100,
     ) -> List[VerificationReport]:
-        """Check many candidate targets, fanning *whole candidates*.
-
-        The greedy ded sweep's k derived scenarios produce k candidate
-        targets; per-candidate checks are far coarser-grained units than
-        per-dependency checks, so with a worker budget this fans one
-        candidate per worker (each candidate verified serially inside
-        its worker) and returns reports in candidate order — identical
-        to ``[verify(t) for t in targets]``.  The shared source side is
-        materialized once, before the fan-out.
-        """
-        targets = list(target_instances)
-        workers = min(self._candidate_workers(), len(targets))
-        if workers <= 1:
-            return [
-                self.verify(target, max_violations=max_violations)
-                for target in targets
-            ]
-        self.source_side  # materialize once, outside the pool
-        with ThreadPoolExecutor(
-            max_workers=workers, thread_name_prefix="verify-candidate"
-        ) as pool:
-            futures = [
-                pool.submit(
-                    self.verify, target, max_violations, 1
-                )
-                for target in targets
-            ]
-            return [future.result() for future in futures]
-
-    def _candidate_workers(self) -> int:
-        """Thread-pool width for a candidate fan (1 = stay serial)."""
-        if self.parallelism is None:
-            return 1
-        from repro.chase.parallel import parse_parallelism
-
-        mode, workers = parse_parallelism(self.parallelism)
-        return 1 if mode == "serial" else workers
-
-    def _check_workers(self, checks: int) -> int:
-        """Thread-pool width for this verify call (1 = stay serial)."""
-        if self.parallelism is None or checks < 2:
-            return 1
-        from repro.chase.parallel import parse_parallelism
-
-        mode, workers = parse_parallelism(self.parallelism)
-        if mode == "serial":
-            return 1
-        # Dependency checks share one address space; threads suffice for
-        # both the "thread" and "process" chase modes.
-        return min(workers, checks)
-
-    @staticmethod
-    def _run_check(
-        kind: str,
-        dependency: Dependency,
-        source_side: Instance,
-        target_side: Instance,
-        max_violations: int,
-    ) -> Tuple[int, List[Violation]]:
-        violations: List[Violation] = []
-        if kind == "mapping":
-            matched = _check_tgd(
-                dependency, source_side, target_side, violations, max_violations
-            )
-        else:
-            matched = _check_constraint(
-                dependency, target_side, violations, max_violations
-            )
-        return matched, violations
-
-    def _run_parallel(
-        self,
-        checks: List[Tuple[str, Dependency]],
-        source_side: Instance,
-        target_side: Instance,
-        max_violations: int,
-        workers: int,
-    ) -> List[Tuple[int, List[Violation]]]:
-        with ThreadPoolExecutor(
-            max_workers=workers, thread_name_prefix="verify-shard"
-        ) as pool:
-            futures = [
-                pool.submit(
-                    self._run_check, kind, dependency, source_side,
-                    target_side, max_violations,
-                )
-                for kind, dependency in checks
-            ]
-            return [future.result() for future in futures]
+        """Check many candidate targets against the one shared source
+        side; reports come back in candidate order, identical to
+        ``[verify(t) for t in targets]``."""
+        return [
+            self.verify(target, max_violations=max_violations)
+            for target in target_instances
+        ]
 
 
 def verify_solution(
@@ -364,7 +346,6 @@ def verify_solution(
     target_instance: Instance,
     max_violations: int = 100,
     source_side: Optional[Instance] = None,
-    parallelism: Optional[str] = None,
 ) -> VerificationReport:
     """Check that ``target_instance`` solves the original semantic scenario.
 
@@ -374,10 +355,7 @@ def verify_solution(
     lets callers that already hold ``I_S ∪ Υ_S(I_S)`` (the pipeline's
     chase input) skip its re-materialization; verifying several
     candidates is cheaper still through :class:`ScenarioVerifier`.
-    ``parallelism`` fans the per-dependency checks across threads (same
-    spec syntax and worker budget as the chase).
     """
     return ScenarioVerifier(
-        scenario, source_instance, source_side=source_side,
-        parallelism=parallelism,
+        scenario, source_instance, source_side=source_side
     ).verify(target_instance, max_violations=max_violations)

@@ -216,6 +216,25 @@ class SemanticDatabase:
         """Insert many base facts; returns how many were new."""
         return sum(1 for fact in facts if self.add_fact(fact))
 
+    def add_instance(self, instance: Instance) -> int:
+        """Insert every fact of ``instance``; returns how many were new.
+
+        A columnar instance over the working store's pool is copied as
+        code tuples (:meth:`ColumnarInstance.ingest`) — no decode, no
+        re-encode.  Anything else, or an instance that already holds
+        facts of a view relation (those must be remembered as seeded),
+        goes through :meth:`add_facts`.
+        """
+        working = self._working
+        if (
+            isinstance(working, ColumnarInstance)
+            and isinstance(instance, ColumnarInstance)
+            and instance.pool is working.pool
+            and self._view_names.isdisjoint(instance.relations())
+        ):
+            return working.ingest(instance)
+        return self.add_facts(instance)
+
     # -- maintenance -------------------------------------------------------
 
     def _rule_plans(self, rule: Rule, key: int) -> DeltaPlans:
@@ -361,9 +380,13 @@ class SemanticDatabase:
                 matches = plans.matches_encoded(working)
             else:
                 matches = plans.delta_matches_encoded(working, delta)
-            add, relation, build = working.add_encoded, head.relation, head.row
-            for match in matches:
-                add(relation, build(match))
+            # One bulk append per firing: the matches are already
+            # materialized, so this inserts exactly what per-row adds
+            # would, in the same order.
+            build = head.row
+            rows = [build(match) for match in matches]
+            if rows:
+                working.extend_encoded(head.relation, rows)
         elif delta is None:
             for binding in plans.matches(working):
                 working.add(_head_fact(rule, binding))

@@ -20,9 +20,12 @@ from repro.core.compose import extend_source
 from repro.core.rewriter import AUX_PREFIX, RewriteResult, rewrite
 from repro.core.scenario import MappingScenario
 from repro.core.verify import VerificationReport, verify_solution
+from repro.errors import ArityError, SchemaError
 from repro.obs.recorder import resolve_recorder
 from repro.relational.instance import Instance
+from repro.relational.kernel import ColumnarInstance
 from repro.relational.schema import Schema
+from repro.relational.types import check_term
 
 __all__ = ["PipelineResult", "run_scenario", "run_rewritten", "strip_auxiliary"]
 
@@ -62,13 +65,49 @@ def strip_auxiliary(
     When ``schema`` is given (or the input instance carries one), the
     stripped instance keeps it, so downstream consumers can still
     validate facts against the physical target schema instead of
-    receiving a schemaless bag of atoms.
+    receiving a schemaless bag of atoms.  Every kept fact is checked
+    against that schema either way.  A columnar input stays columnar:
+    its kept relations move as code tuples, and the type check decodes
+    each distinct code of a column once instead of every fact.
     """
-    stripped = Instance(schema if schema is not None else instance.schema)
+    if schema is None:
+        schema = instance.schema
+    if isinstance(instance, ColumnarInstance):
+        stripped = instance.restricted_to(
+            relation
+            for relation in instance.relations()
+            if not relation.startswith(AUX_PREFIX)
+        )
+        if schema is not None:
+            _check_columnar(stripped, schema)
+        stripped.schema = schema
+        return stripped
+    stripped = Instance(schema)
     for fact in instance:
         if not fact.relation.startswith(AUX_PREFIX):
             stripped.add(fact)
     return stripped
+
+
+def _check_columnar(instance: ColumnarInstance, schema: Schema) -> None:
+    """``Relation.check_fact`` for every row, one decode per distinct
+    code of each column (labeled nulls conform to every type)."""
+    decode = instance.pool.decode
+    for relation_name in instance.relations():
+        columns = instance.columns(relation_name)
+        if relation_name not in schema:
+            fact = next(iter(instance.facts(relation_name)))
+            raise SchemaError(
+                f"fact {fact} does not belong to schema {schema.name!r}"
+            )
+        relation = schema.relation(relation_name)
+        if len(columns) != relation.arity:
+            raise ArityError(relation.name, relation.arity, len(columns))
+        for column, attribute in zip(columns, relation.attributes):
+            where = f"{relation.name}.{attribute.name}"
+            for code in set(column):
+                if code > 0:
+                    check_term(decode(code), attribute.dtype, where=where)
 
 
 def run_scenario(
@@ -183,15 +222,13 @@ def run_rewritten(
     if verify and chase_result.ok:
         # The chase input *is* the verifier's source side (I_S ∪ Υ_S(I_S))
         # unless premises were unfolded — then the views were never
-        # materialized and the verifier builds them itself.  The verifier
-        # inherits the chase's parallelism spec (one worker budget).
+        # materialized and the verifier builds them itself.
         with rec.span("verify"):
             verification = verify_solution(
                 scenario,
                 source_instance,
                 target,
                 source_side=None if unfold_source_premises else chase_input,
-                parallelism=config.parallelism if config is not None else None,
             )
         rec.count("verify.checked", 1)
         rec.count("verify.ok", 1 if verification.ok else 0)

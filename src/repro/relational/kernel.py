@@ -41,6 +41,7 @@ import threading
 from array import array
 from bisect import bisect_left, bisect_right, insort
 from collections import defaultdict
+from itertools import compress
 from operator import itemgetter
 from typing import (
     Dict,
@@ -299,6 +300,19 @@ class _Table:
     def row_values(self, row_id: int) -> Tuple[int, ...]:
         return tuple(column[row_id] for column in self.columns)
 
+    def live_rows(self) -> List[Tuple[int, ...]]:
+        """Every live row as a code tuple, in row-id order.
+
+        Rows are zipped straight off the columns (C-level), with one
+        mask pass over the generations only when the table holds
+        tombstones."""
+        if not self.columns:
+            return [()] if self.live_count else []
+        rows = zip(*self.columns)
+        if self.live_count != len(self.generations):
+            rows = compress(rows, [g >= 0 for g in self.generations])
+        return list(rows)
+
     def copy(self) -> "_Table":
         clone = _Table.__new__(_Table)
         clone.arity = self.arity
@@ -554,6 +568,16 @@ class ColumnarInstance:
         fresh: List[Tuple[int, ...]] = []
         fresh_append = fresh.append
         resurrected: List[int] = []
+        if not start_id and len(set(map(len, rows))) == 1:
+            # Filling an empty table (copies, seeding): one C-level
+            # dict build assigns the row ids when the batch holds no
+            # duplicates; otherwise the general loop below dedups.
+            row_ids = dict(zip(rows, range(len(rows))))
+            if len(row_ids) == len(rows):
+                table.row_ids = row_ids
+                fresh = rows
+                next_id = len(rows)
+                rows = ()
         for row in rows:
             if len(row) != arity:
                 raise SchemaError(
@@ -644,14 +668,9 @@ class ColumnarInstance:
             return self.add_all(other)
         self._null_hints.update(other._null_hints)
         added = 0
-        row_values = other.row_values
         for relation in other.relations():
             added += self.extend_encoded(
-                relation,
-                [
-                    row_values(relation, row_id)
-                    for row_id in other.live_row_ids(relation)
-                ],
+                relation, other._tables[relation].live_rows()
             )
         return added
 
@@ -987,14 +1006,16 @@ class ColumnarInstance:
         return clone
 
     def restricted_to(self, relations: Iterable[str]) -> "ColumnarInstance":
+        """A columnar copy of the given relations (schema dropped).
+
+        Rows move as code tuples, one bulk :meth:`extend_encoded` per
+        relation, in this instance's relation order; null hints carry
+        over, so the copy renders exactly like the original."""
         keep = set(relations)
         clone = ColumnarInstance(pool=self.pool)
-        for relation in keep:
-            table = self._tables.get(relation)
-            if table is None:
-                continue
-            for row_id in self.live_row_ids(relation):
-                clone.add_encoded(relation, table.row_values(row_id))
+        for relation, table in self._tables.items():
+            if relation in keep and table.live_count:
+                clone.extend_encoded(relation, table.live_rows())
         clone._null_hints = dict(self._null_hints)
         return clone
 

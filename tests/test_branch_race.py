@@ -448,14 +448,11 @@ class TestCandidateFanVerifier:
         from repro.relational.instance import Instance
 
         candidates = [outcome.target, Instance(), outcome.target]
-        serial = ScenarioVerifier(built.scenario, built.instance)
-        fanned = ScenarioVerifier(
-            built.scenario, built.instance, parallelism="thread:2"
-        )
-        serial_reports = serial.verify_candidates(candidates)
-        fanned_reports = fanned.verify_candidates(candidates)
-        assert len(serial_reports) == len(fanned_reports) == 3
-        for left, right in zip(serial_reports, fanned_reports):
+        verifier = ScenarioVerifier(built.scenario, built.instance)
+        serial_reports = [verifier.verify(target) for target in candidates]
+        batched_reports = verifier.verify_candidates(candidates)
+        assert len(serial_reports) == len(batched_reports) == 3
+        for left, right in zip(serial_reports, batched_reports):
             assert left.ok == right.ok
             assert left.premise_matches == right.premise_matches
             assert [str(v) for v in left.violations] == [

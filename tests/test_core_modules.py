@@ -204,8 +204,14 @@ class TestVerify:
         target = Instance()
         target.add_row("T_Product", 1, "p", "s")
         combined = semantic_target(running_scenario, target)
-        assert combined.size("PopularProduct") == 1
-        assert combined.size("T_Product") == 1
+        popular = Atom("PopularProduct", (Constant(1), Constant("p")))
+        assert combined.facts("PopularProduct") == {popular}
+        assert {f.relation for f in combined.facts("T_Product")} == {"T_Product"}
+        assert set(combined.relations()) >= {"T_Product", "PopularProduct"}
+        assert len(combined) == sum(
+            len(combined.facts(r)) for r in combined.relations()
+        )
+        assert popular in combined
 
     def test_report_rendering(self, running_scenario, small_source):
         report = verify_solution(running_scenario, small_source, Instance())

@@ -27,7 +27,6 @@ from repro.chase.parallel import (
     parse_parallelism,
 )
 from repro.core.rewriter import rewrite
-from repro.core.verify import ScenarioVerifier
 from repro.errors import ChaseError
 from repro.logic.atoms import Atom, Conjunction
 from repro.logic.dependencies import tgd
@@ -331,48 +330,6 @@ class TestProbeView:
         for forbidden in ("add", "add_all", "remove", "apply_null_map",
                           "bump_generation"):
             assert not hasattr(view, forbidden)
-
-
-class TestParallelVerifier:
-    def test_report_identical_to_serial(self):
-        spec_corpus = get_corpus("smoke")
-        spec = list(spec_corpus)[0]
-        built = spec.build()
-        rewritten = rewrite(built.scenario)
-        outcome = run_rewritten(
-            built.scenario, rewritten, built.instance, verify=False
-        )
-        serial = ScenarioVerifier(built.scenario, built.instance).verify(
-            outcome.target
-        )
-        threaded = ScenarioVerifier(
-            built.scenario, built.instance, parallelism="thread:2"
-        ).verify(outcome.target)
-        assert threaded.ok == serial.ok
-        assert threaded.mappings_checked == serial.mappings_checked
-        assert threaded.constraints_checked == serial.constraints_checked
-        assert threaded.premise_matches == serial.premise_matches
-        assert [str(v) for v in threaded.violations] == [
-            str(v) for v in serial.violations
-        ]
-
-    def test_violations_capped_like_serial(self):
-        # An empty target violates every premise match; the violation
-        # list caps identically in both modes.
-        spec = list(get_corpus("smoke"))[0]
-        built = spec.build()
-        empty = Instance()
-        serial = ScenarioVerifier(built.scenario, built.instance).verify(
-            empty, max_violations=3
-        )
-        threaded = ScenarioVerifier(
-            built.scenario, built.instance, parallelism="thread:3"
-        ).verify(empty, max_violations=3)
-        assert not serial.ok and not threaded.ok
-        assert len(serial.violations) == len(threaded.violations) == 3
-        assert [str(v) for v in threaded.violations] == [
-            str(v) for v in serial.violations
-        ]
 
 
 @pytest.mark.skipif(os.cpu_count() is None, reason="cpu_count unavailable")

@@ -1,9 +1,15 @@
 """End-to-end pipeline tests across every scenario family."""
 
+import pytest
 
+from repro.chase.engine import ChaseConfig
 from repro.chase.result import ChaseStatus
+from repro.errors import ArityError, SchemaError, TypingError
+from repro.logic.terms import Constant
 from repro.pipeline import run_scenario, strip_auxiliary
+from repro.relational.csv_io import save_instance
 from repro.relational.instance import Instance
+from repro.relational.kernel import ColumnarInstance
 from repro.scenarios import (
     build_scenario,
     cleanup_instance,
@@ -118,3 +124,79 @@ class TestStripAuxiliary:
         instance.add_row("_grom_req_e0_0", 1)
         stripped = strip_auxiliary(instance)
         assert stripped.relations() == ["T"]
+
+
+class TestColumnarHandOff:
+    """The chase target stays columnar through strip and verify; these
+    pin the boundaries where it meets the Atom-level read surface."""
+
+    @pytest.fixture(scope="class")
+    def outcome(self):
+        return run_scenario(
+            build_scenario(), generate_source_instance(products=12, seed=7)
+        )
+
+    def _chase_target(self, outcome):
+        target = outcome.chase.target
+        assert isinstance(target, ColumnarInstance)
+        return target
+
+    def test_strip_keeps_columnar_and_schema(self, outcome):
+        assert isinstance(outcome.target, ColumnarInstance)
+        assert outcome.target.schema is outcome.rewrite.scenario.target_schema
+        assert not any(
+            r.startswith("_grom_req_") for r in outcome.target.relations()
+        )
+
+    def test_strip_rejects_a_wrong_arity_row(self, outcome):
+        chased = self._chase_target(outcome)
+        # A columnar relation holds one arity, so the bad shape is a
+        # whole T_Store table of two-column rows (the schema says four).
+        target = chased.restricted_to(
+            r for r in chased.relations() if r != "T_Store"
+        )
+        target.add_row("T_Store", 1, 2)
+        with pytest.raises(ArityError):
+            strip_auxiliary(target, outcome.rewrite.scenario.target_schema)
+
+    def test_strip_rejects_a_wrongly_typed_row(self, outcome):
+        target = self._chase_target(outcome).copy()
+        target.add_row("T_Product", "not-an-int", "n", "s")
+        schema = outcome.rewrite.scenario.target_schema
+        with pytest.raises(TypingError) as columnar:
+            strip_auxiliary(target, schema)
+        decoded = Instance()
+        decoded.add_all(target)
+        with pytest.raises(TypingError) as reference:
+            strip_auxiliary(decoded, schema)
+        assert str(columnar.value) == str(reference.value)
+
+    def test_strip_rejects_a_relation_outside_the_schema(self, outcome):
+        target = self._chase_target(outcome).copy()
+        target.add_row("Unknown", Constant(1))
+        with pytest.raises(SchemaError):
+            strip_auxiliary(target, outcome.rewrite.scenario.target_schema)
+
+    def test_target_equals_the_reference_kernel_target(self, outcome):
+        reference = run_scenario(
+            build_scenario(),
+            generate_source_instance(products=12, seed=7),
+            config=ChaseConfig(kernel="reference"),
+        )
+        assert isinstance(reference.target, Instance)
+        assert outcome.target == reference.target
+        assert reference.target == outcome.target
+
+    def test_rendering_and_csv_keep_null_hints(self, outcome, tmp_path):
+        target = outcome.target
+        assert target.nulls() and all(n.hint for n in target.nulls())
+        decoded = Instance(target.schema)
+        decoded.add_all(target)
+        assert str(target) == str(decoded)
+        save_instance(target, tmp_path / "columnar")
+        save_instance(decoded, tmp_path / "decoded")
+        for path in sorted((tmp_path / "decoded").iterdir()):
+            assert (tmp_path / "columnar" / path.name).read_text() == (
+                path.read_text()
+            )
+        assert "#N" in (tmp_path / "columnar" / "T_Rating.csv").read_text()
