@@ -33,6 +33,7 @@ instead — the oracle the differential suite compares against.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from heapq import nsmallest
 from operator import itemgetter
 from typing import FrozenSet, List, Optional, Sequence, Tuple
 
@@ -129,7 +130,10 @@ def _check(
     Each disjunct's atoms and comparisons are probed with the match's
     ``seeded`` variables bound (all of them when ``None``); equalities
     compare under the full match.  Violations are appended in canonical
-    binding order, so the report does not depend on enumeration order.
+    binding order, so the report does not depend on enumeration order;
+    only the smallest ``max_violations`` are kept (a bounded heap, not a
+    sort of every violation), and with no room left the premise matches
+    are only counted.
     Both sides on one term pool (the product path) run on encoded rows;
     otherwise — including under :func:`reference_evaluator` — every
     match is decoded into a binding.
@@ -152,30 +156,39 @@ def _check(
 
 
 def _check_decoded(dependency, premise_side, target_side, seeded, cap):
+    if cap <= 0:
+        return sum(1 for _ in evaluate_iter(dependency.premise, premise_side)), []
     matched = 0
-    violating = []
     bodies = [
         Conjunction(atoms=disjunct.atoms, comparisons=disjunct.comparisons)
         for disjunct in dependency.disjuncts
     ]
-    for binding in evaluate_iter(dependency.premise, premise_side):
-        matched += 1
-        seed = (
-            binding
-            if seeded is None
-            else {v: t for v, t in binding.items() if v in seeded}
-        )
-        if not any(
-            all(
-                _resolve(e.left, binding) == _resolve(e.right, binding)
-                for e in disjunct.equalities
+
+    def unsatisfied():
+        nonlocal matched
+        for binding in evaluate_iter(dependency.premise, premise_side):
+            matched += 1
+            seed = (
+                binding
+                if seeded is None
+                else {v: t for v, t in binding.items() if v in seeded}
             )
-            and exists(body, target_side, seed=seed)
-            for disjunct, body in zip(dependency.disjuncts, bodies)
-        ):
-            violating.append(tuple(sorted(binding.items())))
-    violating.sort(key=lambda items: tuple(term_order_key(t) for _v, t in items))
-    return matched, violating[:cap]
+            if not any(
+                all(
+                    _resolve(e.left, binding) == _resolve(e.right, binding)
+                    for e in disjunct.equalities
+                )
+                and exists(body, target_side, seed=seed)
+                for disjunct, body in zip(dependency.disjuncts, bodies)
+            ):
+                yield tuple(sorted(binding.items()))
+
+    violating = nsmallest(
+        cap,
+        unsatisfied(),
+        key=lambda items: tuple(term_order_key(t) for _v, t in items),
+    )
+    return matched, violating
 
 
 def _resolve(term, binding):
@@ -198,18 +211,25 @@ def _check_encoded(dependency, premise_side, target_side, seeded, cap):
         _ConclusionProbe(disjunct, bound, premise.slot_of, target_side)
         for disjunct in dependency.disjuncts
     ]
+    if cap <= 0:
+        return sum(map(len, premise.blocks(premise_side))), []
     matched = 0
-    violating = []
-    for block in premise.blocks(premise_side):
-        matched += len(block)
-        for row in block:
-            if not any(probe.holds(row) for probe in probes):
-                violating.append(row)
+
+    def unsatisfied():
+        nonlocal matched
+        for block in premise.blocks(premise_side):
+            matched += len(block)
+            for row in block:
+                if not any(probe.holds(row) for probe in probes):
+                    yield row
+
     order_key = pool.order_key
-    violating.sort(key=lambda row: tuple(map(order_key, row)))
+    violating = nsmallest(
+        cap, unsatisfied(), key=lambda row: tuple(map(order_key, row))
+    )
     decode = premise_side.decode_term
     return matched, [
-        tuple(zip(varlist, map(decode, row))) for row in violating[:cap]
+        tuple(zip(varlist, map(decode, row))) for row in violating
     ]
 
 

@@ -568,16 +568,6 @@ class ColumnarInstance:
         fresh: List[Tuple[int, ...]] = []
         fresh_append = fresh.append
         resurrected: List[int] = []
-        if not start_id and len(set(map(len, rows))) == 1:
-            # Filling an empty table (copies, seeding): one C-level
-            # dict build assigns the row ids when the batch holds no
-            # duplicates; otherwise the general loop below dedups.
-            row_ids = dict(zip(rows, range(len(rows))))
-            if len(row_ids) == len(rows):
-                table.row_ids = row_ids
-                fresh = rows
-                next_id = len(rows)
-                rows = ()
         for row in rows:
             if len(row) != arity:
                 raise SchemaError(

@@ -206,7 +206,9 @@ class TestVerify:
         combined = semantic_target(running_scenario, target)
         popular = Atom("PopularProduct", (Constant(1), Constant("p")))
         assert combined.facts("PopularProduct") == {popular}
-        assert {f.relation for f in combined.facts("T_Product")} == {"T_Product"}
+        assert combined.facts("T_Product") == {
+            Atom("T_Product", (Constant(1), Constant("p"), Constant("s")))
+        }
         assert set(combined.relations()) >= {"T_Product", "PopularProduct"}
         assert len(combined) == sum(
             len(combined.facts(r)) for r in combined.relations()
