@@ -8,7 +8,7 @@ solution of the original semantic scenario.  Completeness is given up —
 exactly the trade-off Section 3 of the paper discusses.
 
 The pipeline (reconstructed from the paper's contract and worked
-example, see DESIGN.md §3):
+example):
 
 1. Mapping premises stay in terms of the source vocabulary (the chase
    runs on ``I_S ∪ Υ_S(I_S)``, the paper's two-step reduction); with
