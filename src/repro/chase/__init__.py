@@ -17,19 +17,15 @@ from repro.chase.engine import ChaseConfig, StandardChase, chase
 from repro.chase.parallel import (
     MatchSharder,
     ProcessSharder,
-    ThreadSharder,
-    chase_worker_budget,
-    compose_parallelism,
     create_sharder,
-    effective_parallelism,
     parse_parallelism,
+    resolve_parallelism,
 )
 from repro.chase.race import (
     BranchOutcome,
     ProcessRacer,
     RaceResult,
     SerialRacer,
-    ThreadRacer,
     create_racer,
 )
 from repro.chase.result import ChaseResult, ChaseStats, ChaseStatus
@@ -45,17 +41,13 @@ __all__ = [
     "StandardChase",
     "chase",
     "MatchSharder",
-    "ThreadSharder",
     "ProcessSharder",
     "create_sharder",
     "parse_parallelism",
-    "chase_worker_budget",
-    "effective_parallelism",
-    "compose_parallelism",
+    "resolve_parallelism",
     "BranchOutcome",
     "RaceResult",
     "SerialRacer",
-    "ThreadRacer",
     "ProcessRacer",
     "create_racer",
     "ChaseResult",

@@ -286,9 +286,8 @@ class CompiledDependency:
         """One shard of the premise's delta matches: the plan anchored at
         ``anchor_index`` with the anchor restricted to ``restrict``.
 
-        ``working`` may be a live :class:`Instance` (thread workers) or a
-        :class:`~repro.relational.instance.ProbeView` over a replica
-        (process workers); the evaluator only touches the read surface.
+        ``working`` is a forked worker's private replica of the working
+        instance; the evaluator only touches the read surface.
         Bindings are raw — the sharded merge deduplicates across anchors
         and chunks before enforcement.
         """

@@ -27,20 +27,15 @@ directly observable through :attr:`ChaseResult.scenarios_tried`.
 from __future__ import annotations
 
 import itertools
-import threading
 import time
 from dataclasses import dataclass, replace
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.chase.compiled import compile_dependencies
 from repro.chase.engine import ChaseConfig, StandardChase
-from repro.chase.parallel import (
-    create_sharder,
-    effective_parallelism,
-    parse_parallelism,
-)
+from repro.chase.parallel import create_sharder, parse_parallelism
 from repro.analysis.termination import TerminationReport
-from repro.chase.race import ProcessRacer, create_racer
+from repro.chase.race import create_racer
 from repro.chase.result import ChaseResult, ChaseStats, ChaseStatus
 from repro.obs.recorder import TraceConfig, resolve_recorder
 from repro.logic.dependencies import Dependency, Disjunct
@@ -301,42 +296,23 @@ class GreedyDedChase:
     ) -> ChaseResult:
         start = time.perf_counter()
         racer = create_racer(self.config.branch_parallelism)
-        # Branches record into their own recorder (fork/thread-safe) and
-        # ship the payload on the result; make sure the branch config asks
+        # Branches record into their own recorder (fork-safe) and ship
+        # the payload on the result; make sure the branch config asks
         # for one whenever this sweep is being traced at all (the trace
         # may have been handed down as an external recorder).
         branch_trace = self.config.trace
         if rec.enabled and (branch_trace is None or not branch_trace.enabled):
             branch_trace = TraceConfig(enabled=True)
-        # Every raced branch chases under the shared CPU budget: its
-        # intra-chase shards divide the per-branch share, and nested
-        # racing is off (one level of fan-out is the whole budget).
+        # Racing is the outermost requested tier here, so every raced
+        # branch chases serially: only one tier forks.  Forked workers
+        # inherit the sweep's compiled plans copy-on-write, and the
+        # serial loop reuses them branch after branch.
         inner_config = replace(
             self.config,
-            parallelism=effective_parallelism(
-                self.config.parallelism, jobs=racer.workers
-            ),
+            parallelism="serial",
             branch_parallelism="serial",
             trace=branch_trace,
         )
-        # Forked race workers inherit the sweep's compiled plans
-        # copy-on-write; racing *threads* must not share mutable plan
-        # caches, so each thread compiles its own set once and reuses it
-        # across all the branches it chases.
-        dependencies_template = self.standard + [
-            info.dependency for info in self._infos
-        ]
-        shared_plans = isinstance(racer, ProcessRacer)
-        local = threading.local()
-
-        def compiled_for_worker():
-            if shared_plans:
-                return self._compiled
-            plans = getattr(local, "compiled", None)
-            if plans is None:
-                plans = compile_dependencies(dependencies_template)
-                local.compiled = plans
-            return plans
 
         def run_selection(index: int) -> ChaseResult:
             dependencies, choice = self.scenario_for(selections[index])
@@ -345,7 +321,7 @@ class GreedyDedChase:
                 self.source_relations,
                 inner_config,
                 branch_choice=choice,
-                compiled=compiled_for_worker(),
+                compiled=self._compiled,
                 termination=self.termination,
             )
             return engine.run(source_instance, target_instance)

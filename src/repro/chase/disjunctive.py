@@ -15,28 +15,17 @@ current instance branches, one child per applicable disjunct.  Leaves
 are either successful (no violations anywhere) or failed (hard egd
 failure, denial, or a ded firing with no applicable disjunct).
 
-Exploring the tree is embarrassingly parallel — sibling subtrees never
-share state — but committing it is not: leaves must be counted, models
-collected and the shared null factory advanced in DFS order or the
-result changes.  ``ChaseConfig.branch_parallelism`` therefore runs the
-tree **speculatively**: worker threads prefetch the processing of
-pending nodes (chase to quiescence, violation scan, child expansion)
-using a private null factory snapshotted at push time, while the driver
-still commits nodes in exact DFS order.  When a prefetched node's
-snapshot turns out stale (an earlier subtree invented nulls first), the
-committed outcome's fresh nulls are uniformly *shifted* to the ids the
-serial run would have used — valid because every ordering the chase
-relies on (enforcement order, union-find orientation, the canonical
-violation choice) compares null ids numerically, so it is equivariant
-under a uniform shift.  Results are bit-identical to the serial tree,
-including truncation and ``first_only`` behaviour; speculative work past
-a stop is discarded, and it only ever touched node-private copies.
+The tree is explored depth-first in one thread: leaves are counted,
+models collected and the shared null factory advanced in DFS order.
+``ChaseConfig.branch_parallelism`` does not apply here (it races the
+greedy sweep's derived scenarios, :mod:`repro.chase.ded`); a speculative
+thread prefetch of tree nodes lost to this serial loop under the GIL and
+was removed.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import threading
 import time
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -49,7 +38,6 @@ from repro.chase.engine import (
     _resolve,
     extract_target,
 )
-from repro.chase.parallel import parse_parallelism
 from repro.obs.recorder import resolve_recorder
 from repro.logic.atoms import Atom, Conjunction
 from repro.logic.dependencies import Dependency, Disjunct
@@ -78,7 +66,6 @@ class DisjunctiveResult:
     branchings: int = 0
     truncated: bool = False
     elapsed_seconds: float = 0.0
-    branch_racing: str = "serial"
     trace: Optional[Dict[str, object]] = None
     """Flight-recorder payload when the run owned its recorder (tracing
     enabled on the config, no external recorder passed)."""
@@ -93,127 +80,11 @@ class DisjunctiveResult:
 
 @dataclass
 class _NodeOutcome:
-    """Everything processing one tree node produced.
-
-    ``nulls`` is how many fresh ids the node consumed; the driver uses
-    it to advance the shared factory at commit time (and to shift the
-    outcome when a speculative snapshot went stale).
-    """
+    """Everything processing one tree node produced."""
 
     kind: str  # "failed" | "model" | "overdepth" | "deadend" | "branch"
-    nulls: int = 0
     model: Optional[Instance] = None
     children: Optional[List[Instance]] = None
-
-
-class _NodeTask:
-    """One pending tree node plus its (possibly speculative) outcome."""
-
-    __slots__ = ("working", "depth", "snapshot", "event", "outcome", "claimed")
-
-    def __init__(self, working: Instance, depth: int, snapshot: int) -> None:
-        self.working = working
-        self.depth = depth
-        self.snapshot = snapshot
-        self.event = threading.Event()
-        self.outcome: object = None
-        self.claimed = False
-
-
-class _Prefetcher:
-    """Worker threads that speculatively process pending tree nodes.
-
-    Pending nodes form a LIFO — the newest submission is the driver's
-    next DFS pop, so workers always chase the frontier the driver is
-    about to need.  The driver itself computes a node inline when no
-    worker has claimed it yet, so the slowest path is never "everyone
-    waits for one idle queue".  ``close`` discards unclaimed nodes
-    (losers cancelled early) and joins the workers.
-    """
-
-    def __init__(self, process, workers: int) -> None:
-        self._process = process
-        self._cv = threading.Condition()
-        self._pending: List[_NodeTask] = []
-        self._stop = False
-        self._threads = [
-            threading.Thread(
-                target=self._serve, name=f"ded-prefetch-{i}", daemon=True
-            )
-            for i in range(max(1, workers - 1))
-        ]
-        for thread in self._threads:
-            thread.start()
-
-    def submit(self, working: Instance, depth: int, snapshot: int) -> _NodeTask:
-        task = _NodeTask(working, depth, snapshot)
-        with self._cv:
-            self._pending.append(task)
-            self._cv.notify()
-        return task
-
-    def _serve(self) -> None:
-        while True:
-            with self._cv:
-                while not self._pending and not self._stop:
-                    self._cv.wait()
-                if self._stop:
-                    return
-                task = self._pending.pop()
-                task.claimed = True
-            self._finish(task)
-
-    def _finish(self, task: _NodeTask) -> None:
-        try:
-            task.outcome = self._process(task.working, task.depth, task.snapshot)
-        except BaseException as exc:  # re-raised at the driver's commit
-            task.outcome = exc
-        task.event.set()
-
-    def resolve(self, task: _NodeTask) -> _NodeOutcome:
-        inline = False
-        with self._cv:
-            if not task.claimed:
-                self._pending.remove(task)
-                task.claimed = True
-                inline = True
-        if inline:
-            self._finish(task)
-        else:
-            task.event.wait()
-        if isinstance(task.outcome, BaseException):
-            raise task.outcome
-        return task.outcome  # type: ignore[return-value]
-
-    def close(self) -> None:
-        with self._cv:
-            self._stop = True
-            self._pending.clear()
-            self._cv.notify_all()
-        for thread in self._threads:
-            thread.join(timeout=10)
-
-
-def _shift_outcome(outcome: _NodeOutcome, snapshot: int, delta: int) -> None:
-    """Rename the outcome's fresh nulls to the ids a serial run used.
-
-    A speculative node started its private factory at ``snapshot`` but
-    commits when the shared factory is ``delta`` ids further along; every
-    null the node invented (id ≥ snapshot) shifts up uniformly.  The
-    shift is order-preserving — among the fresh nulls and against every
-    pre-existing null (all ids < snapshot) — so the renamed outcome is
-    exactly what in-place processing would have produced.
-    """
-    for instance in (outcome.children or []) + (
-        [outcome.model] if outcome.model is not None else []
-    ):
-        mapping = {
-            null: Null(null.id + delta, null.hint)
-            for null in instance.nulls()
-            if null.id >= snapshot
-        }
-        if mapping:
-            instance.apply_null_map(mapping)
 
 
 class DisjunctiveChase:
@@ -233,11 +104,8 @@ class DisjunctiveChase:
         base = config or ChaseConfig()
         # Per-node chases keep every tunable of the caller's config
         # except the parallel knobs: tree nodes are small and many, so
-        # the parallel unit is the node (speculative prefetch), never
-        # shards or races *inside* one node's chase.
-        # (Tracing too: tree nodes are chased by worker threads whose
-        # per-node recorders could not merge deterministically — the
-        # search is instrumented at the driver level instead.)
+        # neither shards nor races pay off *inside* one node's chase.
+        # (Tracing too: the search is instrumented at the driver level.)
         self.config = dataclasses.replace(
             base,
             keep_working=True,
@@ -246,11 +114,11 @@ class DisjunctiveChase:
             trace=None,
         )
         self.trace_config = base.trace
-        self.branch_parallelism = base.branch_parallelism
         self.max_leaves = max_leaves
         self.max_branch_depth = max_branch_depth
-        self._local = threading.local()
-        self._engine = self._node_engine()
+        self._engine = StandardChase(
+            self.standard, self.source_relations, self.config
+        )
 
     # -- public API ------------------------------------------------------------
 
@@ -275,17 +143,8 @@ class DisjunctiveChase:
         for fact in source_instance:
             root.add(fact)
         factory.advance_past(root.nulls())
-        _mode, workers = parse_parallelism(self.branch_parallelism)
-        # The oblivious policy's Bloom spill digests absolute null ids,
-        # which a speculative shift would perturb — stay serial there.
-        with rec.span("chase.disjunctive", racing=self.branch_parallelism):
-            if workers > 1 and self.config.policy != "oblivious":
-                result.branch_racing = f"thread:{workers}"
-                self._explore_speculative(
-                    root, factory, result, first_only, workers
-                )
-            else:
-                self._explore_serial(root, factory, result, first_only)
+        with rec.span("chase.disjunctive"):
+            self._explore(root, factory, result, first_only)
             if minimize:
                 result.models = _minimize_models(result.models)
         if rec.enabled:
@@ -298,9 +157,9 @@ class DisjunctiveChase:
             result.trace = rec.to_payload()
         return result
 
-    # -- tree drivers ------------------------------------------------------------
+    # -- tree driver -------------------------------------------------------------
 
-    def _explore_serial(
+    def _explore(
         self,
         root: Instance,
         factory: NullFactory,
@@ -313,51 +172,12 @@ class DisjunctiveChase:
                 result.truncated = True
                 break
             working, depth = stack.pop()
-            outcome = self._process_node(working, depth, factory.next_id)
-            factory.advance_to(factory.next_id + outcome.nulls)
+            outcome = self._process_node(working, depth, factory)
             if self._commit(outcome, result, first_only):
                 break
             if outcome.kind == "branch":
                 for child in reversed(outcome.children):
                     stack.append((child, depth + 1))
-
-    def _explore_speculative(
-        self,
-        root: Instance,
-        factory: NullFactory,
-        result: DisjunctiveResult,
-        first_only: bool,
-        workers: int,
-    ) -> None:
-        prefetcher = _Prefetcher(self._process_node, workers)
-        try:
-            stack: List[_NodeTask] = [
-                prefetcher.submit(root, 0, factory.next_id)
-            ]
-            while stack:
-                if result.leaves >= self.max_leaves:
-                    result.truncated = True
-                    break
-                task = stack.pop()
-                outcome = prefetcher.resolve(task)
-                delta = factory.next_id - task.snapshot
-                if delta:
-                    _shift_outcome(outcome, task.snapshot, delta)
-                factory.advance_to(factory.next_id + outcome.nulls)
-                if self._commit(outcome, result, first_only):
-                    break
-                if outcome.kind == "branch":
-                    # Reversed submission keeps the prefetchers' LIFO
-                    # aligned with DFS: child 0 is submitted last, so it
-                    # is both the driver's next pop and the workers'
-                    # next claim.
-                    for child in reversed(outcome.children):
-                        stack.append(
-                            prefetcher.submit(child, task.depth + 1,
-                                              factory.next_id)
-                        )
-        finally:
-            prefetcher.close()
 
     def _commit(
         self,
@@ -384,47 +204,29 @@ class DisjunctiveChase:
 
     # -- node processing ----------------------------------------------------------
 
-    def _node_engine(self) -> StandardChase:
-        """One chase engine (with private compiled plans) per thread."""
-        engine = getattr(self._local, "engine", None)
-        if engine is None:
-            engine = StandardChase(
-                self.standard, self.source_relations, self.config
-            )
-            self._local.engine = engine
-        return engine
-
     def _process_node(
-        self, working: Instance, depth: int, next_id: int
+        self, working: Instance, depth: int, factory: NullFactory
     ) -> _NodeOutcome:
-        """Chase one node to quiescence and expand it — no shared state.
-
-        All fresh nulls come from a private factory starting at
-        ``next_id``; the caller reconciles the shared factory (and
-        shifts the fresh ids if the snapshot was stale).
-        """
-        factory = NullFactory(next_id)
-        chased = self._node_engine().run(working, null_factory=factory)
+        """Chase one node to quiescence and expand it; fresh nulls come
+        from the run's shared ``factory``, in DFS order."""
+        chased = self._engine.run(working, null_factory=factory)
         if not chased.ok:
-            return _NodeOutcome("failed", factory.next_id - next_id)
+            return _NodeOutcome("failed")
         chased_working = chased.working
         assert chased_working is not None
         violation = self._find_ded_violation(chased_working)
         if violation is None:
             return _NodeOutcome(
                 "model",
-                factory.next_id - next_id,
                 model=extract_target(chased_working, self.source_relations),
             )
         if depth >= self.max_branch_depth:
-            return _NodeOutcome("overdepth", factory.next_id - next_id)
+            return _NodeOutcome("overdepth")
         dependency, binding = violation
         children = self._branch(dependency, binding, chased_working, factory)
         if not children:
-            return _NodeOutcome("deadend", factory.next_id - next_id)
-        return _NodeOutcome(
-            "branch", factory.next_id - next_id, children=children
-        )
+            return _NodeOutcome("deadend")
+        return _NodeOutcome("branch", children=children)
 
     # -- internals ----------------------------------------------------------------
 
@@ -435,8 +237,8 @@ class DisjunctiveChase:
         # violated ded the canonically-least violating match is chosen
         # (not whichever hash order surfaced first): branching must not
         # depend on set-iteration order, or two runs of the same
-        # scenario — serial vs. speculative, or across interpreter hash
-        # seeds — could explore different trees.
+        # scenario across interpreter hash seeds could explore different
+        # trees.
         for dependency in self.deds:
             violations = [
                 binding

@@ -23,7 +23,7 @@ Each dependency's round is an explicit two-phase pipeline:
 * **enumerate** — find every premise match (a read-only join over the
   working instance).  This phase is delegated to a
   :class:`~repro.chase.parallel.MatchSharder`, which may fan the work
-  across threads or forked replica processes
+  across forked replica processes
   (``ChaseConfig.parallelism``); premise matches are independent of one
   another until enforcement, so sharding them is safe.
 * **enforce** — sort the matches into canonical order, then serially
@@ -86,19 +86,21 @@ class ChaseConfig:
     :class:`_TriggerMemory`)."""
 
     parallelism: str = "serial"
-    """How the enumerate phase is sharded: ``serial`` (default),
-    ``thread[:N]`` or ``process[:N]`` — see
-    :func:`repro.chase.parallel.parse_parallelism`.  Enforcement is
+    """How the enumerate phase is sharded: ``serial`` (default) or
+    ``process[:N]`` forked replicas — see
+    :func:`repro.chase.parallel.parse_parallelism`.  Only the outermost
+    requested parallel tier forks (capped at the CPU count), so this is
+    serial inside a raced branch or a pooled batch task.  Enforcement is
     always a serial, canonically-ordered merge, so every mode produces
     bit-identical instances and null resolutions."""
 
     branch_parallelism: str = "serial"
-    """How the *disjunctive search* races independent branches:
-    ``serial`` (default), ``thread[:N]`` or ``process[:N]``.  The greedy
-    ded sweep races whole candidate selections and the disjunctive
-    chase prefetches tree nodes; winner selection is canonical (lowest
-    selection index / DFS order), so results are bit-identical to the
-    serial sweep — see :mod:`repro.chase.race`."""
+    """How the greedy ded sweep races its derived scenarios: ``serial``
+    (default) or ``process[:N]`` forked workers.  The winner is the
+    lowest selection index, so results are bit-identical to the serial
+    sweep — see :mod:`repro.chase.race`.  When it forks, each raced
+    branch chases with serial shards (one forking tier).  The exact
+    :class:`~repro.chase.disjunctive.DisjunctiveChase` ignores it."""
 
     trace: Optional[TraceConfig] = None
     """Flight-recorder knobs (:class:`repro.obs.TraceConfig`).  ``None``
@@ -543,7 +545,7 @@ class StandardChase:
         ``chase.*`` counters mirror :class:`ChaseStats` and are
         bit-identical across execution tiers; ``plan.*`` /
         ``instance.*`` describe this process's caches and may
-        legitimately differ (racing threads compile private plans,
+        legitimately differ (forked workers warm their own plan copies,
         replicas build their own indexes).  Plan counters are *deltas*
         against the run's start because the greedy ded search reuses one
         compiled plan set across every derived scenario.
@@ -962,10 +964,9 @@ def _term_order(term: Term) -> Tuple:
     Nulls order numerically by id (never lexicographically: ``N10`` must
     sort after ``N9``), constants by their representation.  Because the
     key is *numeric* in the null id, uniformly shifting every fresh null
-    id — which the speculative disjunctive chase does when it commits a
-    prefetched subtree — preserves the relative order of all terms, so
-    enforcement order (and hence every invented null) is identical
-    whether a node was chased speculatively or in place.
+    id preserves the relative order of all terms, so enforcement order
+    (and hence every invented null) does not depend on where a run's
+    null counter started.
 
     The single definition lives in :func:`repro.relational.types.term_order_key`
     so the columnar kernel's per-code order cache provably sorts encoded

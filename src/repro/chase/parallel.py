@@ -12,12 +12,6 @@ this module shards exactly that phase behind one interface:
     The serial base: enumerate delegates straight to
     :meth:`~repro.chase.compiled.CompiledDependency.premise_matches`.
 
-:class:`ThreadSharder`
-    Shards each round's (anchor, delta-chunk) units across a thread
-    pool reading the live working instance through its
-    :class:`~repro.relational.instance.ProbeView`.  Index builds are
-    guarded by the instance's lock; nothing mutates during enumerate.
-
 :class:`ProcessSharder`
     Forks replica workers at ``begin_run`` (copy-on-write: the child
     inherits the working instance and compiled plans for free) and keeps
@@ -26,16 +20,21 @@ this module shards exactly that phase behind one interface:
     delta can be recomputed worker-side instead of shipped.
 
 Sharding is deterministic by construction, not by scheduling: a worker
-owns the anchor facts whose ``hash(fact) % workers`` equals its id (a
-partition, so every match is found exactly once per anchor), the merge
-deduplicates across anchors exactly like the serial delta join, and the
-engine sorts the merged matches into canonical order before enforcement
-— so null invention and ``_NullMap`` unions are bit-identical to the
-serial chase.
+owns the anchor facts whose ``hash(fact) % workers`` (row id, over the
+columnar kernel) equals its id (a partition, so every match is found
+exactly once per anchor), the merge deduplicates across anchors exactly
+like the serial delta join, and the engine sorts the merged matches into
+canonical order before enforcement — so null invention and ``_NullMap``
+unions are bit-identical to the serial chase.
 
-The module also owns the **shared pool budget**: scenario-level batch
-workers and intra-chase shards draw from one ``os.cpu_count()`` budget
-(:func:`chase_worker_budget`), so turning both on never oversubscribes.
+Fork is the only parallel mechanism and serial the only fallback (a
+thread tier lost to serial under the GIL everywhere it was measured).
+The module also owns the **one-forking-tier rule**
+(:func:`resolve_parallelism`): of the nested tiers — batch jobs, branch
+racing, chase shards — only the outermost requested one forks, capped
+at ``os.cpu_count()``; the tiers inside it run serial.  A process that
+may not fork (no ``fork`` start method, or a daemonic pool worker) runs
+every tier serial.
 """
 
 from __future__ import annotations
@@ -43,35 +42,24 @@ from __future__ import annotations
 import multiprocessing
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import ChaseError
 from repro.logic.atoms import Atom
 from repro.obs.recorder import NULL_RECORDER
 from repro.relational.delta import group_rows
-from repro.relational.instance import Instance
 from repro.relational.kernel import ColumnarInstance
 from repro.relational.query import Binding
 
 __all__ = [
     "MatchSharder",
-    "ThreadSharder",
     "ProcessSharder",
     "create_sharder",
     "parse_parallelism",
-    "chase_worker_budget",
-    "effective_parallelism",
-    "compose_parallelism",
+    "resolve_parallelism",
 ]
 
-_MODE_ALIASES = {
-    "thread": "thread",
-    "threads": "thread",
-    "process": "process",
-    "processes": "process",
-    "fork": "process",
-}
+_PROCESS_ALIASES = ("process", "processes", "fork")
 
 #: Below this many anchor facts a shard is not worth the fan-out.
 MIN_SHARD_FACTS = 32
@@ -82,139 +70,80 @@ def default_workers() -> int:
     return max(1, min(8, os.cpu_count() or 1))
 
 
-def parse_parallelism(spec, default: Optional[int] = None) -> Tuple[str, int]:
-    """``spec`` → ``(mode, workers)`` with mode in serial/thread/process.
+def parse_parallelism(spec) -> Tuple[str, int]:
+    """``spec`` → ``(mode, workers)`` with mode ``serial`` or ``process``.
 
-    Accepted forms: ``None``/``"serial"`` (serial), ``"thread"`` /
-    ``"process"`` (worker count defaulting to ``default`` or this
-    machine's :func:`default_workers`), ``"thread:4"`` / ``"process:4"``
-    (explicit count), or a bare integer (process mode).  Anything that
-    resolves to one worker is serial.
+    Accepted forms: ``None``/``"serial"`` (serial), ``"process"`` (this
+    machine's :func:`default_workers`), ``"process:4"`` (explicit
+    count), or a bare integer (process mode).  Anything that resolves to one worker (or
+    none) is serial; a negative count or any other mode is a
+    :class:`ChaseError`.
     """
+    expected = "expected serial or process[:N]"
     if spec is None:
         return ("serial", 1)
     if isinstance(spec, int):
-        return ("process", spec) if spec > 1 else ("serial", 1)
-    text = str(spec).strip().lower()
-    if text in ("", "serial", "none", "off", "1"):
-        return ("serial", 1)
-    if text.isdigit():
-        count = int(text)
-        return ("process", count) if count > 1 else ("serial", 1)
-    mode, _, count_text = text.partition(":")
-    if mode not in _MODE_ALIASES:
-        known = "serial, thread[:N], process[:N]"
-        raise ChaseError(f"unknown parallelism {spec!r} (expected {known})")
+        count_text, mode = str(spec), "process"
+    else:
+        text = str(spec).strip().lower()
+        if text in ("", "serial", "none", "off"):
+            return ("serial", 1)
+        if text.lstrip("-").isdigit():
+            count_text, mode = text, "process"
+        else:
+            mode, _, count_text = text.partition(":")
+    if mode not in _PROCESS_ALIASES:
+        raise ChaseError(f"unknown parallelism {spec!r} ({expected})")
     if count_text:
         try:
             workers = int(count_text)
         except ValueError:
             raise ChaseError(
-                f"bad worker count in parallelism {spec!r}"
+                f"bad worker count in parallelism {spec!r} ({expected})"
             ) from None
+        if workers < 0:
+            raise ChaseError(
+                f"negative worker count in parallelism {spec!r} ({expected})"
+            )
     else:
-        workers = default if default is not None else default_workers()
+        workers = default_workers()
     if workers <= 1:
         return ("serial", 1)
-    return (_MODE_ALIASES[mode], workers)
+    return ("process", workers)
 
 
-def chase_worker_budget(
-    jobs: int, requested: int, cpu_count: Optional[int] = None
-) -> int:
-    """Intra-chase workers one of ``jobs`` concurrent tasks may use.
-
-    Scenario-level batch workers and chase shards share one CPU budget:
-    ``jobs × chase_workers`` must not exceed ``cpu_count``, so each task
-    gets ``cpu_count // jobs`` shards (at least one — serial — and never
-    more than it asked for).
-    """
-    cpu = cpu_count if cpu_count is not None else (os.cpu_count() or 1)
-    budget = max(1, cpu // max(1, jobs))
-    return max(1, min(requested, budget))
-
-
-def effective_parallelism(
-    spec, jobs: int = 1, cpu_count: Optional[int] = None
-) -> str:
-    """Canonical parallelism string after applying the shared budget.
-
-    A mode without an explicit worker count (``"thread"``) asks for the
-    whole per-task share of the budget.
-    """
-    cpu = cpu_count if cpu_count is not None else (os.cpu_count() or 1)
-    mode, workers = parse_parallelism(spec, default=max(1, cpu // max(1, jobs)))
-    if mode == "serial":
-        return "serial"
-    workers = chase_worker_budget(jobs, workers, cpu)
-    if workers <= 1:
-        return "serial"
-    return f"{mode}:{workers}"
-
-
-def compose_parallelism(
-    jobs: int, branch_spec, chase_spec, cpu_count: Optional[int] = None
-) -> Tuple[str, str]:
-    """Canonical (branch, chase) parallelism under one shared CPU budget.
-
-    Three tiers draw from the same ``cpu_count``: concurrent batch tasks
-    (``jobs``), branch racers inside each task's disjunctive search, and
-    match shards inside each raced chase.  The invariant is
-    ``jobs × branch workers × chase workers ≤ cpu_count`` — branch
-    workers get the per-job share first (racing whole scenarios
-    dominates sharding single joins), and chase shards divide whatever
-    remains.
-    """
-    cpu = cpu_count if cpu_count is not None else (os.cpu_count() or 1)
-    branch = effective_parallelism(branch_spec, jobs, cpu)
-    _mode, branch_workers = parse_parallelism(branch)
-    chase = effective_parallelism(
-        chase_spec, max(1, jobs) * max(1, branch_workers), cpu
+def _can_fork() -> bool:
+    """Whether this process may fork workers: the ``fork`` start method
+    exists and the caller is not a daemonic pool worker (which may not
+    have children)."""
+    return (
+        "fork" in multiprocessing.get_all_start_methods()
+        and not multiprocessing.current_process().daemon
     )
-    return branch, chase
+
+
+def resolve_parallelism(spec) -> str:
+    """The canonical form ``spec`` runs with in this process.
+
+    ``process:N`` with ``N`` capped at ``os.cpu_count()``, or ``serial``
+    when that leaves one worker or the process may not fork (no ``fork``
+    start method, or a daemonic caller).  Results are identical either
+    way; only the speedup differs.
+    """
+    mode, workers = parse_parallelism(spec)
+    workers = min(workers, os.cpu_count() or 1)
+    if mode == "serial" or workers <= 1 or not _can_fork():
+        return "serial"
+    return f"process:{workers}"
 
 
 def create_sharder(spec) -> "MatchSharder":
-    """Build the sharder a parallelism spec asks for.
-
-    Process mode degrades to threads when ``fork`` is unavailable or the
-    caller is itself a daemonic pool worker (which may not spawn
-    children) — the results are identical either way, only the speedup
-    differs.
-    """
-    mode, workers = parse_parallelism(spec)
-    if mode == "serial":
-        return MatchSharder()
+    """Build the sharder ``spec`` resolves to here
+    (:func:`resolve_parallelism`): forked replicas, or serial."""
+    mode, workers = parse_parallelism(resolve_parallelism(spec))
     if mode == "process":
-        can_fork = "fork" in multiprocessing.get_all_start_methods()
-        if can_fork and not multiprocessing.current_process().daemon:
-            return ProcessSharder(workers)
-        return ThreadSharder(workers)
-    return ThreadSharder(workers)
-
-
-def _partition_by_hash(
-    facts, workers: int
-) -> List[Set[Atom]]:
-    """Partition facts into ``workers`` chunks by ``hash % workers``.
-
-    The assignment is order-independent, so it needs no canonical sort
-    and every worker of one process tree computes the same partition.
-    """
-    chunks: List[Set[Atom]] = [set() for _ in range(workers)]
-    for fact in facts:
-        chunks[hash(fact) % workers].add(fact)
-    return chunks
-
-
-def _partition_row_ids(row_ids, workers: int) -> List[Set[int]]:
-    """Columnar twin of :func:`_partition_by_hash`: row ids shard by
-    ``rid % workers``, which every replica computes identically because
-    row ids are assigned by the deterministic event replay."""
-    chunks: List[Set[int]] = [set() for _ in range(workers)]
-    for row_id in row_ids:
-        chunks[row_id % workers].add(row_id)
-    return chunks
+        return ProcessSharder(workers)
+    return MatchSharder()
 
 
 def _delta_size(delta) -> int:
@@ -336,139 +265,6 @@ class MatchSharder:
     def record_null_map(self, resolution: Dict) -> None:
         pass
 
-    # -- shared shard planning ---------------------------------------------
-
-    def _full_anchor(self, index: int) -> Optional[int]:
-        """Anchor atom for a full (non-delta) round: the largest relation
-        carries the most shardable scan work; ties break on position."""
-        atoms = self._compiled[index].premise_atoms
-        if not atoms:
-            return None
-        size = self._working.size
-        return min(
-            range(len(atoms)), key=lambda i: (-size(atoms[i].relation), i)
-        )
-
-
-class ThreadSharder(MatchSharder):
-    """Shards enumeration across threads over the live instance.
-
-    Threads read the working instance through its probe view while the
-    engine is between enforcement phases, so nothing mutates under them.
-    Python's GIL caps the speedup for these pure-Python joins — the
-    thread sharder exists as the portable/fallback tier and as the
-    determinism cross-check; fork-based :class:`ProcessSharder` is the
-    performance tier.
-    """
-
-    mode = "thread"
-
-    def __init__(self, workers: int) -> None:
-        self.workers = max(2, int(workers))
-        self._pool: Optional[ThreadPoolExecutor] = None
-
-    def begin_run(self, working, compiled: Sequence) -> None:
-        super().begin_run(working, compiled)
-        self._view = working.probe_view()
-        self._pool = ThreadPoolExecutor(
-            max_workers=self.workers, thread_name_prefix="chase-shard"
-        )
-
-    def end_run(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-
-    def _shard_units(self, index: int):
-        """Plan the round's (anchor, chunk) units, or ``None`` to fall
-        back to serial enumeration.  Chunks are anchor-fact sets over
-        the reference kernel and anchor-row-id sets over columnar."""
-        compiled = self._compiled[index]
-        atoms = compiled.premise_atoms
-        units: List[Tuple[int, Set]] = []
-        if self._delta is None:
-            anchor = self._full_anchor(index)
-            relation = atoms[anchor].relation
-            if self._encoded:
-                candidates = self._working.live_row_ids(relation)
-                partition = _partition_row_ids
-            else:
-                candidates = self._working.facts(relation)
-                partition = _partition_by_hash
-            if len(candidates) < MIN_SHARD_FACTS:
-                return None
-            units = [
-                (anchor, chunk)
-                for chunk in partition(candidates, self.workers)
-                if chunk
-            ]
-        else:
-            if _delta_size(self._delta) < MIN_SHARD_FACTS:
-                return None
-            if self._encoded:
-                relations = set(self._delta)
-            else:
-                relations = {fact.relation for fact in self._delta}
-            anchors = compiled.anchor_indices(relations)
-            if not anchors:
-                return []
-            for anchor in anchors:
-                relation = atoms[anchor].relation
-                if self._encoded:
-                    mine = self._delta.get(relation, ())
-                    chunks = _partition_row_ids(mine, self.workers)
-                else:
-                    mine = [f for f in self._delta if f.relation == relation]
-                    chunks = _partition_by_hash(mine, self.workers)
-                units.extend((anchor, chunk) for chunk in chunks if chunk)
-        return units
-
-    def enumerate_matches(self, index: int):
-        compiled = self._compiled[index]
-        if not compiled.premise_atoms or self._pool is None:
-            return super().enumerate_matches(index)
-        units = self._shard_units(index)
-        if units is None:
-            return super().enumerate_matches(index)
-        if not units:
-            return []
-        if self._encoded:
-            probe, merge = compiled.anchor_matches_encoded, _dedup_merge_rows
-        else:
-            probe, merge = compiled.anchor_matches, _dedup_merge
-        view = self._view
-        rec = self._recorder
-        if not rec.enabled:
-            futures = [
-                self._pool.submit(probe, view, anchor, chunk)
-                for anchor, chunk in units
-            ]
-            return merge([future.result() for future in futures])
-
-        def timed(anchor: int, chunk):
-            begin = time.perf_counter()
-            result = probe(view, anchor, chunk)
-            return result, begin, time.perf_counter()
-
-        futures = [
-            self._pool.submit(timed, anchor, chunk) for anchor, chunk in units
-        ]
-        shards: List[list] = []
-        # Collect (and record) in unit order, not completion order, so the
-        # trace's span sequence is deterministic.
-        for unit, ((anchor, _chunk), future) in enumerate(zip(units, futures)):
-            result, begin, end = future.result()
-            shards.append(result)
-            rec.tracer.add_raw(
-                "enumerate.worker",
-                begin,
-                end,
-                worker=f"thread-{unit}",
-                anchor=anchor,
-                matches=len(result),
-            )
-        return merge(shards)
-
 
 # ---------------------------------------------------------------------------
 # Forked replica workers
@@ -481,7 +277,8 @@ def _replica_worker(
     """Loop of one forked enumeration worker.
 
     ``replica``/``compiled`` are copy-on-write images of the engine's
-    working instance and plans at ``begin_run`` time.  The parent keeps
+    working instance and plans at ``begin_run`` time; the replica is
+    process-private, so enumeration reads it directly.  The parent keeps
     the replica in lockstep by streaming the enforce phase's events
     (generation bumps, fact inserts, null-map applications — all
     deterministic operations), so each round's delta is recomputed here
@@ -502,7 +299,6 @@ def _replica_worker(
     and forked children share the parent's clock, so the parent can
     splice these spans into its own timeline unadjusted.
     """
-    view = replica.probe_view()
     encoded = isinstance(replica, ColumnarInstance)
     # The round's delta, frozen at the round's first enumeration (keyed
     # by the generation it was taken from).  It must NOT be recomputed
@@ -580,7 +376,7 @@ def _replica_worker(
                         }
                         if chunk:
                             out = dependency.anchor_matches_encoded(
-                                view, anchor, chunk
+                                replica, anchor, chunk
                             )
                     else:
                         chunk = {
@@ -589,7 +385,7 @@ def _replica_worker(
                             if hash(fact) % worker_count == worker_id
                         }
                         if chunk:
-                            out = dependency.anchor_matches(view, anchor, chunk)
+                            out = dependency.anchor_matches(replica, anchor, chunk)
                 else:  # ("delta", since, anchors)
                     _, since, anchors = spec
                     if since != delta_since:
@@ -610,7 +406,7 @@ def _replica_worker(
                             if chunk:
                                 out.extend(
                                     dependency.anchor_matches_encoded(
-                                        view, anchor, chunk
+                                        replica, anchor, chunk
                                     )
                                 )
                         else:
@@ -623,7 +419,7 @@ def _replica_worker(
                             if chunk:
                                 out.extend(
                                     dependency.anchor_matches(
-                                        view, anchor, chunk
+                                        replica, anchor, chunk
                                     )
                                 )
                 if traced:
@@ -806,6 +602,17 @@ class ProcessSharder(MatchSharder):
             self._degrade()
 
     # -- enumeration -------------------------------------------------------
+
+    def _full_anchor(self, index: int) -> Optional[int]:
+        """Anchor atom for a full (non-delta) round: the largest relation
+        carries the most shardable scan work; ties break on position."""
+        atoms = self._compiled[index].premise_atoms
+        if not atoms:
+            return None
+        size = self._working.size
+        return min(
+            range(len(atoms)), key=lambda i: (-size(atoms[i].relation), i)
+        )
 
     def enumerate_matches(self, index: int):
         if self._broken or not self._connections:

@@ -36,6 +36,20 @@ from repro.reporting import Table
 __all__ = ["main", "build_argument_parser"]
 
 
+def _parallelism_spec(text: str) -> str:
+    """argparse ``type=`` for the parallelism options: a spec
+    :func:`~repro.chase.parallel.parse_parallelism` rejects becomes a
+    usage error (exit 2) instead of a traceback mid-run."""
+    from repro.chase.parallel import parse_parallelism
+    from repro.errors import ChaseError
+
+    try:
+        parse_parallelism(text)
+    except ChaseError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return text
+
+
 def build_argument_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="grom",
@@ -92,14 +106,16 @@ def build_argument_parser() -> argparse.ArgumentParser:
     )
     chase_cmd.add_argument(
         "--parallelism", default="serial", metavar="MODE",
-        help="shard premise-match enumeration: serial (default), "
-             "thread[:N] or process[:N]",
+        type=_parallelism_spec,
+        help="shard premise-match enumeration: serial (default) or "
+             "process[:N] forked workers",
     )
     chase_cmd.add_argument(
         "--branch-parallelism", default="serial", metavar="MODE",
-        help="race the disjunctive search's derived scenarios: serial "
-             "(default), thread[:N] or process[:N]; results are "
-             "bit-identical to the serial sweep",
+        type=_parallelism_spec,
+        help="race the greedy ded sweep's derived scenarios: serial "
+             "(default) or process[:N]; results are bit-identical to the "
+             "serial sweep, and raced branches shard serial",
     )
     chase_cmd.add_argument(
         "--kernel", default="columnar", choices=("columnar", "reference"),
@@ -139,19 +155,22 @@ def build_argument_parser() -> argparse.ArgumentParser:
     )
     batch.add_argument(
         "--jobs", type=int, default=1,
-        help="worker processes (1 = serial; >1 uses a multiprocessing pool)",
+        help="worker processes, capped at the cpu count (1 = serial; >1 "
+             "uses a multiprocessing pool whose tasks run serial inside)",
     )
     batch.add_argument(
         "--parallelism", default="serial", metavar="MODE",
-        help="intra-chase sharding per task (serial, thread[:N], "
-             "process[:N]); capped so jobs x branch workers x chase "
-             "workers <= cpu count",
+        type=_parallelism_spec,
+        help="intra-chase sharding per task (serial or process[:N]); "
+             "only the outermost requested tier (--jobs, then "
+             "--branch-parallelism, then this) forks, capped at the cpu "
+             "count",
     )
     batch.add_argument(
         "--branch-parallelism", default="serial", metavar="MODE",
-        help="branch racing of each task's disjunctive search (serial, "
-             "thread[:N], process[:N]); shares the cpu budget with "
-             "--jobs and --parallelism",
+        type=_parallelism_spec,
+        help="branch racing of each task's greedy ded sweep (serial or "
+             "process[:N]); runs serial under --jobs > 1",
     )
     batch.add_argument(
         "--timeout", type=float, default=None,

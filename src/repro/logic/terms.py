@@ -164,23 +164,6 @@ class NullFactory:
                 if null.id >= self._next:
                     self._next = null.id + 1
 
-    def advance_to(self, next_id: int) -> None:
-        """Jump the counter forward to ``next_id`` (never backward).
-
-        Used by the speculative disjunctive chase when it commits a
-        prefetched node: the node consumed ``k`` ids starting from the
-        factory's state at commit time, so the shared factory jumps to
-        exactly where a serial run of the node would have left it.
-        """
-        with self._lock:
-            if next_id > self._next:
-                self._next = next_id
-
-    @property
-    def next_id(self) -> int:
-        """The id the next fresh null would receive."""
-        return self._next
-
 
 def is_ground(terms: Iterable[Term]) -> bool:
     """True when no term is a :class:`Variable` (nulls are allowed)."""

@@ -7,10 +7,10 @@ counts, rewrite-cache hit/miss tallies, racer branch timings — under
 one namespace:
 
 * ``chase.*``   — semantic chase counters; **bit-identical across
-  serial/thread/process execution tiers** (the determinism suite
-  asserts this).
+  serial/process execution tiers** (the determinism suite asserts
+  this).
 * ``plan.*``    — plan-cache compiles/recompiles; may legitimately
-  differ across tiers (racing threads compile private plans).
+  differ across tiers (forked workers warm private plan copies).
 * ``instance.*`` — storage-side counters (index builds).
 * ``datalog.*`` — semi-naive materialization passes and derived facts.
 * ``cache.*``   — rewrite-cache behaviour.

@@ -59,7 +59,6 @@ from typing import (
 from repro.errors import SchemaError
 from repro.logic.atoms import Atom
 from repro.logic.terms import Constant, Null, Term
-from repro.relational.instance import ProbeView
 from repro.relational.types import term_order_key
 
 __all__ = [
@@ -1054,6 +1053,3 @@ class ColumnarInstance:
             f"ColumnarInstance({len(self)} facts, "
             f"{len(self.relations())} relations)"
         )
-
-    def probe_view(self) -> ProbeView:
-        return ProbeView(self)

@@ -56,7 +56,7 @@ from repro.errors import TypingError, UnsafeDependencyError
 from repro.logic.atoms import Atom, Comparison, Conjunction
 from repro.logic.substitution import Substitution
 from repro.logic.terms import Term, Variable
-from repro.relational.instance import Instance, ProbeView
+from repro.relational.instance import Instance
 from repro.relational.kernel import ColumnarInstance, RowMask, TermPool
 
 __all__ = [
@@ -75,18 +75,10 @@ Binding = Dict[Variable, Term]
 
 
 def _columnar_store(instance):
-    """The encoded probe surface behind ``instance``, or None.
-
-    Accepts a bare :class:`ColumnarInstance` or a :class:`ProbeView`
-    over one (the view delegates the encoded surface); everything else —
-    including a ProbeView over a set-based Instance — evaluates through
-    the decoded Atom pipeline.
-    """
+    """The encoded probe surface behind ``instance``, or None: a
+    :class:`ColumnarInstance` evaluates through the encoded pipeline,
+    everything else through the decoded Atom pipeline."""
     if isinstance(instance, ColumnarInstance):
-        return instance
-    if isinstance(instance, ProbeView) and isinstance(
-        instance._instance, ColumnarInstance
-    ):
         return instance
     return None
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass, replace
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from repro.chase.engine import ChaseConfig
-from repro.chase.parallel import compose_parallelism
+from repro.chase.parallel import parse_parallelism, resolve_parallelism
 from repro.core.rewriter import rewrite
 from repro.obs.recorder import NULL_RECORDER, FlightRecorder
 from repro.pipeline import run_rewritten
@@ -53,18 +53,18 @@ class BatchOptions:
     """Knobs for one batch run (picklable: it travels to pool workers)."""
 
     jobs: int = 1
-    """Worker processes; 1 means serial in-process execution."""
+    """Worker processes, capped at ``os.cpu_count()``; 1 means serial
+    in-process execution.  A pool is the outermost parallel tier, so its
+    tasks run ``parallelism`` and ``branch_parallelism`` serial."""
     parallelism: str = "serial"
-    """Requested *intra-chase* sharding per task (``serial``,
-    ``thread[:N]``, ``process[:N]``).  :func:`run_batch` caps it against
-    the shared CPU budget — ``jobs × branch workers × chase workers ≤
-    os.cpu_count()`` — so scenario-level, branch-race and intra-chase
-    parallelism never oversubscribe."""
+    """Requested *intra-chase* sharding per task (``serial`` or
+    ``process[:N]``).  Only the outermost requested tier forks — jobs,
+    then branch racing, then chase shards — capped at
+    ``os.cpu_count()``; :func:`run_batch` records what actually ran."""
     branch_parallelism: str = "serial"
-    """Requested branch racing of each task's disjunctive search
-    (``serial``, ``thread[:N]``, ``process[:N]``).  Shares the same CPU
-    budget as ``jobs`` and ``parallelism``; branch workers take the
-    per-job share first, chase shards divide the remainder."""
+    """Requested branch racing of each task's greedy ded sweep
+    (``serial`` or ``process[:N]``).  Runs serial under a pool; when it
+    forks, the task's chase shards run serial."""
     timeout: Optional[float] = None
     """Per-task wall-clock budget in seconds (needs ``SIGALRM``)."""
     verify: bool = True
@@ -95,9 +95,9 @@ class BatchReport:
     jobs: int
     note: str = ""
     parallelism: str = "serial"
-    """Effective intra-chase sharding after the shared worker budget."""
+    """Intra-chase sharding the tasks ran with (one forking tier)."""
     branch_parallelism: str = "serial"
-    """Effective branch-race fan-out after the shared worker budget."""
+    """Branch-race fan-out the tasks ran with (one forking tier)."""
     cache_stats: Optional[CacheStats] = None
     """Parent-process cache counters (serial runs only; pooled workers
     keep their own — use the per-record ``cache_hit`` flags, which are
@@ -354,50 +354,33 @@ def run_batch(
 ) -> BatchReport:
     """Run every spec of ``corpus`` through the pipeline.
 
-    ``options.jobs > 1`` uses a worker pool; pool creation or mid-run
-    failure degrades to serial execution (the report's ``note`` says
-    why).  A ``cache`` instance is honoured on the serial path; pooled
-    workers construct their own from ``options`` (share state by setting
-    ``options.cache_dir``).
+    ``options.jobs > 1`` uses a worker pool of at most ``os.cpu_count()``
+    processes; pool creation or mid-run failure degrades to serial
+    execution (the report's ``note`` says why).  A ``cache`` instance is
+    honoured on the serial path; pooled workers construct their own from
+    ``options`` (share state by setting ``options.cache_dir``).
     """
     options = options or BatchOptions()
     specs = list(corpus)
-    jobs = max(1, int(options.jobs))
-    cpu_count = os.cpu_count() or 1
+    jobs = max(1, min(int(options.jobs), os.cpu_count() or 1))
 
     note = ""
     records: Optional[List[TaskRecord]] = None
     start = time.perf_counter()
     mode = "serial"
-    parallelism = "serial"
-    branch_parallelism = "serial"
+    parallelism = branch_parallelism = "serial"
+    # One forking tier: jobs > branch racing > chase shards.  Only the
+    # outermost requested tier forks; every tier inside it runs serial.
+    branch_requested = parse_parallelism(options.branch_parallelism)[0]
+    chase_requested = parse_parallelism(options.parallelism)[0]
     if jobs > 1 and len(specs) > 1:
-        # Shared pool budget: every concurrent task's branch racers and
-        # chase shards come out of the same cpu_count, so jobs × branch
-        # workers × chase workers never oversubscribes the machine.
-        branch_parallelism, parallelism = compose_parallelism(
-            jobs, options.branch_parallelism, options.parallelism, cpu_count
-        )
-        degraded = []
-        if branch_parallelism.startswith("process"):
-            branch_parallelism = (
-                "thread" + branch_parallelism[len("process"):]
-            )
-            degraded.append("branch racing")
-        if parallelism.startswith("process"):
-            parallelism = "thread" + parallelism[len("process"):]
-            degraded.append("intra-chase sharding")
-        if degraded:
-            # Pool workers are daemonic and may not fork; say so up
-            # front instead of silently degrading per task.
+        if "process" in (branch_requested, chase_requested):
             note = (
-                f"pool workers cannot fork; {' and '.join(degraded)} "
-                f"use threads"
+                "pool is the forking tier; branch racing and intra-chase "
+                "sharding run serial inside each task"
             )
         pooled_options = replace(
-            options,
-            parallelism=parallelism,
-            branch_parallelism=branch_parallelism,
+            options, parallelism="serial", branch_parallelism="serial"
         )
         try:
             records = _run_pool(corpus.name, specs, pooled_options, jobs)
@@ -406,8 +389,11 @@ def run_batch(
             note = f"{exc}; degraded to serial"
             records = None
     if records is None:
-        branch_parallelism, parallelism = compose_parallelism(
-            1, options.branch_parallelism, options.parallelism, cpu_count
+        branch_parallelism = resolve_parallelism(options.branch_parallelism)
+        parallelism = (
+            "serial"
+            if branch_requested == "process"
+            else resolve_parallelism(options.parallelism)
         )
         serial_options = replace(
             options,

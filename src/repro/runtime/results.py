@@ -52,11 +52,12 @@ class TaskRecord:
     verified: Optional[bool] = None
     error: str = ""
     parallelism: str = "serial"
-    """Effective intra-chase sharding for this task (``serial``,
-    ``thread:N`` or ``process:N``) after the shared worker budget."""
+    """Intra-chase sharding this task ran with (``serial`` or
+    ``process:N``): only the outermost requested parallel tier forks, so
+    it is ``serial`` under a pool or when branch racing forks."""
     branch_parallelism: str = "serial"
-    """Effective branch-race fan-out of the disjunctive search for this
-    task, after the shared worker budget."""
+    """Branch-race fan-out of this task's greedy ded sweep (``serial``
+    or ``process:N``); ``serial`` under a pool."""
     branch_timings: Optional[List[Dict[str, object]]] = None
     """Per derived-scenario timings from the greedy ded sweep (canonical
     selection order up to the winner): ``index``, ``selection``,

@@ -51,6 +51,25 @@ from repro.scenarios.running_example import (
 )
 
 
+@pytest.fixture(autouse=True, scope="session")
+def _forkable_cpu_count():
+    """Let the process tier fork on a single-CPU machine too.
+
+    The determinism suites compare serial runs against ``process:2``
+    (and pooled batches against serial ones), and the one-forking-tier
+    rule caps worker counts at ``os.cpu_count()`` — on one CPU that
+    would quietly turn every cross-check into serial against serial.
+    Tests that exercise the cap itself monkeypatch ``os.cpu_count`` on
+    top of this.
+    """
+    if (os.cpu_count() or 1) >= 2:
+        yield
+        return
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(os, "cpu_count", lambda: 2)
+        yield
+
+
 @pytest.fixture(scope="session")
 def running_scenario() -> MappingScenario:
     return build_scenario()

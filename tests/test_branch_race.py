@@ -1,20 +1,19 @@
 """Differential suite for the branch-raced disjunctive search.
 
 The racing contract is *bit-identical* results: whatever the racer
-(threads, forked workers, or the serial reference), the greedy ded
-sweep must return the same winning selection, target instance, failure
-reason, aggregated statistics and ``scenarios_tried`` as the serial
-sweep — the winner is decided by canonical selection order, never by
-completion order.  The speculative disjunctive chase must likewise
-produce the identical universal model set, leaf accounting and
-truncation behaviour.  These tests sweep the shared scenario corpus
+(forked workers or the serial reference), the greedy ded sweep must
+return the same winning selection, target instance, failure reason,
+aggregated statistics and ``scenarios_tried`` as the serial sweep — the
+winner is decided by canonical selection order, never by completion
+order.  These tests sweep the shared scenario corpus
 (``tests/corpus.py``) plus the ded-pressure cases through every racing
 mode and compare, and unit-test the racer machinery (deterministic
-winner, early cancellation, no partial state, the three-tier worker
-budget, candidate-fanning verification).
+winner, early cancellation, no partial state, the one-forking-tier
+rule, candidate-fanning verification).
 """
 
 import multiprocessing
+import os
 import time
 from dataclasses import replace
 
@@ -23,16 +22,9 @@ import pytest
 from repro.chase.ded import GreedyDedChase
 from repro.chase.disjunctive import DisjunctiveChase
 from repro.chase.engine import ChaseConfig
-from repro.chase.parallel import compose_parallelism
-from repro.chase.race import (
-    ProcessRacer,
-    SerialRacer,
-    ThreadRacer,
-    create_racer,
-)
+from repro.chase.race import ProcessRacer, SerialRacer, create_racer
 from repro.core.rewriter import rewrite
 from repro.core.verify import ScenarioVerifier
-from repro.errors import ChaseError
 from repro.pipeline import run_rewritten
 from repro.runtime.fingerprint import fingerprint_instance
 
@@ -45,7 +37,7 @@ from corpus import (
     pipeline_specs,
 )
 
-RACE_MODES = ["thread:2", "process:2"]
+RACE_MODES = ["process:2"]
 
 DISJUNCTIVE_SPECS = pipeline_specs(require={DISJUNCTIVE})
 
@@ -210,32 +202,40 @@ class TestEarlyCancellation:
         assert race.winner == 0
         assert ran == [0]
 
-    def test_thread_racer_winner_is_canonical_not_fastest(self):
+    def test_process_racer_winner_is_canonical_not_fastest(self):
         # Branch 1 finishes long before branch 0, but both succeed:
         # the winner must still be branch 0.
+        if "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("needs fork")
+
         def run(index):
             if index == 0:
                 time.sleep(0.2)
             return f"branch-{index}"
 
-        race = ThreadRacer(2).race(2, run, success=lambda r: True)
+        race = ProcessRacer(2).race(2, run, success=lambda r: True)
         assert race.winner == 0
         assert race.outcomes[0].result == "branch-0"
 
-    def test_thread_racer_cancels_pending_beyond_winner(self):
-        # With one worker the pool is strictly sequential, so once
-        # branch 0 succeeds nothing else may start.
-        ran = []
+    def test_process_racer_dispatches_nothing_past_the_winner(self, tmp_path):
+        # With one worker dispatch is strictly sequential, so once
+        # branch 0 succeeds nothing else may start.  Forked branches log
+        # to a file: their side effects never reach the parent's memory.
+        if "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("needs fork")
+        log = tmp_path / "ran.log"
 
         def run(index):
-            ran.append(index)
+            with open(log, "a") as handle:
+                handle.write(f"{index}\n")
             return index
 
-        racer = ThreadRacer(2)
-        racer.workers = 1  # deterministic: single pool slot
+        racer = ProcessRacer(2)
+        racer.workers = 1  # deterministic: a single worker
         race = racer.race(16, run, success=lambda r: True)
         assert race.winner == 0
-        assert 15 not in ran  # the tail was cancelled, not run
+        assert sorted(race.outcomes) == [0]
+        assert log.read_text().split() == ["0"]
 
     def test_error_in_reachable_branch_raises_original_type(self):
         # The serial sweep would hit the ValueError at branch 1 before
@@ -246,7 +246,10 @@ class TestEarlyCancellation:
                 raise ValueError("boom")
             return index
 
-        for racer in (SerialRacer(), ThreadRacer(2)):
+        racers = [SerialRacer()]
+        if "fork" in multiprocessing.get_all_start_methods():
+            racers.append(ProcessRacer(2))
+        for racer in racers:
             with pytest.raises(ValueError, match="boom"):
                 racer.race(4, run, success=lambda r: r == 3)
 
@@ -261,12 +264,15 @@ class TestEarlyCancellation:
             ProcessRacer(2).race(3, run, success=lambda r: True)
 
     def test_error_beyond_winner_is_ignored(self):
+        if "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("needs fork")
+
         def run(index):
             if index == 3:
                 raise ValueError("boom")
             return index
 
-        race = ThreadRacer(2).race(4, run, success=lambda r: r == 0)
+        race = ProcessRacer(2).race(4, run, success=lambda r: r == 0)
         assert race.winner == 0
 
 
@@ -293,142 +299,131 @@ class TestProcessRacer:
             for outcome in race.outcomes.values()
         )
 
-    def test_daemonic_caller_degrades_to_threads(self, monkeypatch):
+    def test_daemonic_caller_degrades_to_serial(self, monkeypatch):
         class _Daemonic:
             daemon = True
 
         monkeypatch.setattr(
             multiprocessing, "current_process", lambda: _Daemonic()
         )
-        racer = create_racer("process:3")
-        assert isinstance(racer, ThreadRacer)
-        assert racer.workers == 3
+        assert type(create_racer("process:3")) is SerialRacer
 
-    def test_create_racer_modes(self):
+    def test_create_racer_modes(self, monkeypatch):
         assert type(create_racer("serial")) is SerialRacer
-        assert isinstance(create_racer("thread:2"), ThreadRacer)
-        if "fork" in multiprocessing.get_all_start_methods():
-            assert isinstance(create_racer("process:2"), ProcessRacer)
+        if "fork" not in multiprocessing.get_all_start_methods():
+            assert type(create_racer("process:2")) is SerialRacer
+            return
+        racer = create_racer("process:2")
+        assert isinstance(racer, ProcessRacer) and racer.workers == 2
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert create_racer("process:8").workers == 3  # capped at cpus
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        assert type(create_racer("process:8")) is SerialRacer
+
+    def test_branch_chased_in_a_worker_shards_serial(self):
+        # Race workers are daemonic: a chase inside one may not fork, so
+        # even an explicit process sharding request runs serial there.
+        if "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("needs fork")
+        deps = list(ded_sweep_dependencies(deds=1))[:1]  # the copy tgd
+        instance = ded_sweep_instance(deds=1, rows=80)
+        relations = ded_sweep_relations(deds=1)
+
+        def run(_index):
+            from repro.chase.engine import StandardChase
+
+            return StandardChase(
+                deps, relations, ChaseConfig(parallelism="process:2")
+            ).run(instance)
+
+        race = ProcessRacer(2).race(2, run, success=lambda r: r.ok)
+        assert race.outcomes[0].worker.startswith("fork-")
+        assert race.outcomes[0].result.sharding == "serial"
 
     def test_describe(self):
         assert SerialRacer().describe() == "serial"
-        assert ThreadRacer(2).describe() == "thread:2"
         assert ProcessRacer(4).describe() == "process:4"
         degraded = ProcessRacer(4)
         degraded._degraded = True
         assert degraded.describe() == "serial (degraded from process:4)"
 
 
-class TestSpeculativeDisjunctive:
-    """The speculative tree exploration is bit-identical to serial."""
-
-    def _ded_setup(self):
-        return (
-            list(ded_sweep_dependencies(deds=2, insert_branches=2)),
-            ded_sweep_relations(deds=2),
-            ded_sweep_instance(deds=2),
-        )
-
-    def test_model_set_identical(self):
-        deps, relations, instance = self._ded_setup()
+class TestDisjunctiveChaseIgnoresRacing:
+    def test_process_branch_parallelism_returns_the_serial_model_set(self):
+        deps = list(ded_sweep_dependencies(deds=2, insert_branches=2))
+        relations = ded_sweep_relations(deds=2)
+        instance = ded_sweep_instance(deds=2)
         serial = DisjunctiveChase(deps, relations).run(instance)
         raced = DisjunctiveChase(
-            deps, relations, ChaseConfig(branch_parallelism="thread:3")
+            deps, relations, ChaseConfig(branch_parallelism="process:2")
         ).run(instance)
         assert serial.satisfiable
-        assert len(serial.models) == len(raced.models)
-        for left, right in zip(serial.models, raced.models):
-            assert left == right  # bit-identical, including null ids
-            assert fingerprint_instance(left) == fingerprint_instance(right)
+        assert serial.models == raced.models  # bit-identical, null ids too
+        assert [fingerprint_instance(m) for m in serial.models] == [
+            fingerprint_instance(m) for m in raced.models
+        ]
         assert (serial.leaves, serial.failures, serial.branchings) == (
             raced.leaves, raced.failures, raced.branchings
         )
-        assert raced.branch_racing == "thread:3"
 
-    def test_first_only_identical(self):
-        deps, relations, instance = self._ded_setup()
-        serial = DisjunctiveChase(deps, relations).run(
-            instance, first_only=True
+
+class TestOneForkingTier:
+    """Only the outermost requested tier forks: jobs > branch racing >
+    chase shards, capped at cpu_count; tiers inside it run serial."""
+
+    def _sweep(self, **config):
+        deps = list(ded_sweep_dependencies(deds=2))
+        return GreedyDedChase(
+            deps, ded_sweep_relations(deds=2), ChaseConfig(**config)
+        ).run(ded_sweep_instance(deds=2))
+
+    def test_raced_sweep_shards_serial(self):
+        if "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("needs fork")
+        serial = self._sweep()
+        raced = self._sweep(
+            branch_parallelism="process:2", parallelism="process:2"
         )
-        raced = DisjunctiveChase(
-            deps, relations, ChaseConfig(branch_parallelism="thread:2")
-        ).run(instance, first_only=True)
-        assert serial.models and serial.models[0] == raced.models[0]
-        assert serial.leaves == raced.leaves
+        assert raced.branch_racing == "process:2"
+        assert raced.sharding == "serial"
+        _compare_chases(serial, raced, "raced+sharded")
 
-    def test_truncation_identical(self):
-        deps, relations, instance = self._ded_setup()
-        serial = DisjunctiveChase(deps, relations, max_leaves=3).run(instance)
-        raced = DisjunctiveChase(
-            deps,
-            relations,
-            ChaseConfig(branch_parallelism="thread:2"),
-            max_leaves=3,
-        ).run(instance)
-        assert serial.truncated and raced.truncated
-        assert serial.leaves == raced.leaves
-        assert [m for m in serial.models] == [m for m in raced.models]
+    def test_racer_width_capped_at_cpu_count(self, monkeypatch):
+        if "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("needs fork")
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        raced = self._sweep(branch_parallelism="process:4")
+        assert raced.branch_racing == "process:2"
 
-    def test_minimize_identical(self):
-        deps, relations, instance = self._ded_setup()
-        serial = DisjunctiveChase(deps, relations).run(instance, minimize=True)
-        raced = DisjunctiveChase(
-            deps, relations, ChaseConfig(branch_parallelism="thread:2")
-        ).run(instance, minimize=True)
-        assert [m for m in serial.models] == [m for m in raced.models]
-
-    def test_oblivious_policy_stays_serial(self):
-        deps, relations, instance = self._ded_setup()
-        result = DisjunctiveChase(
-            deps,
-            relations,
-            ChaseConfig(policy="oblivious", branch_parallelism="thread:2"),
-        ).run(instance)
+    def test_single_cpu_serializes_everything(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        serial = self._sweep()
+        result = self._sweep(
+            branch_parallelism="process:4", parallelism="process:4"
+        )
         assert result.branch_racing == "serial"
+        assert result.sharding == "serial"
+        _compare_chases(serial, result, "one cpu")
 
+    def test_batch_branch_tier_forks_and_shards_run_serial(self, monkeypatch):
+        from repro.runtime.corpus import get_corpus
+        from repro.runtime.executor import BatchOptions, run_batch
 
-class TestThreeTierBudget:
-    """jobs × branch workers × chase workers ≤ cpu_count, always."""
-
-    def test_branch_workers_take_the_job_share_first(self):
-        branch, chase = compose_parallelism(
-            2, "process:4", "process:4", cpu_count=16
+        if "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("needs fork")
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        report = run_batch(
+            get_corpus("smoke").limited(2),
+            BatchOptions(
+                branch_parallelism="process:2",
+                parallelism="process:4",
+                use_cache=False,
+            ),
         )
-        assert branch == "process:4"  # 16 // 2 jobs = 8, capped at 4
-        assert chase == "process:2"  # 16 // (2 × 4) = 2
-
-    def test_chase_serializes_when_branches_eat_the_budget(self):
-        branch, chase = compose_parallelism(
-            2, "process:4", "process:4", cpu_count=8
-        )
-        assert branch == "process:4"
-        assert chase == "serial"  # 8 // (2 × 4) = 1
-
-    def test_serial_branch_leaves_chase_budget_unchanged(self):
-        branch, chase = compose_parallelism(
-            2, "serial", "process:4", cpu_count=8
-        )
-        assert branch == "serial"
-        assert chase == "process:4"
-
-    def test_single_cpu_serializes_everything(self):
-        branch, chase = compose_parallelism(
-            1, "process:4", "thread:4", cpu_count=1
-        )
-        assert branch == "serial"
-        assert chase == "serial"
-
-    def test_raced_sweep_caps_inner_sharding(self):
-        # A raced GreedyDedChase divides the chase's own shard budget by
-        # the racer width (observable through the inner config).
-        from repro.chase.parallel import effective_parallelism
-
-        assert effective_parallelism("process:4", jobs=2, cpu_count=8) == (
-            "process:4"
-        )
-        assert effective_parallelism("process:4", jobs=4, cpu_count=8) == (
-            "process:2"
-        )
+        assert report.branch_parallelism == "process:2"
+        assert report.parallelism == "serial"
+        assert all(r.parallelism == "serial" for r in report.records)
+        assert report.note == ""
 
 
 class TestCandidateFanVerifier:
@@ -502,9 +497,9 @@ class TestRacedResultMetadata:
         corpus = get_corpus("smoke").limited(2)
         report = run_batch(
             corpus,
-            BatchOptions(branch_parallelism="thread:2", use_cache=False),
+            BatchOptions(branch_parallelism="process:2", use_cache=False),
         )
-        assert report.branch_parallelism in ("serial", "thread:2")
+        assert report.branch_parallelism in ("serial", "process:2")
         assert report.summary.branch_parallelism == report.branch_parallelism
         path = tmp_path / "records.jsonl"
         write_jsonl(report.records, path)
@@ -515,7 +510,7 @@ class TestRacedResultMetadata:
 
     def test_chase_config_replace_keeps_branch_field(self):
         config = replace(
-            ChaseConfig(), parallelism="thread:2",
+            ChaseConfig(), parallelism="process:2",
             branch_parallelism="process:4",
         )
         assert config.branch_parallelism == "process:4"

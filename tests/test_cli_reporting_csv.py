@@ -51,6 +51,23 @@ class TestCli:
         assert main(["chase", str(scenario_file), "--show-target"]) == 0
         assert "T_Product" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("option", ["--parallelism", "--branch-parallelism"])
+    @pytest.mark.parametrize("spec", ["bogus", "thread:2", "process:-3"])
+    def test_chase_rejects_bad_parallelism(
+        self, scenario_file, capsys, option, spec
+    ):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["chase", str(scenario_file), option, spec])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err
+        assert f"argument {option}" in err
+
+    def test_chase_accepts_process_parallelism(self, scenario_file, capsys):
+        assert main(["chase", str(scenario_file), "--parallelism",
+                     "process:2"]) == 0
+        assert "verify:" in capsys.readouterr().out
+
     def test_chase_with_csv(self, scenario_file, tmp_path, capsys):
         csv_dir = tmp_path / "csv"
         save_instance(generate_source_instance(products=4, seed=2), csv_dir)

@@ -10,9 +10,9 @@ Three layers enforce the contract:
 
 * a corpus-wide sweep (every scenario of the default ``mixed`` corpus)
   comparing the columnar serial pipeline against the reference kernel;
-* the same comparison with the columnar side sharded (``thread:2`` and
-  ``process:2`` — the encoded enumerate phase and forked replicas
-  replaying encoded fact/pool/null-map events);
+* the same comparison with the columnar side sharded (``process:2`` —
+  the encoded enumerate phase in forked replicas replaying encoded
+  fact/pool/null-map events);
 * a Hypothesis property driving :func:`random_scenario` shapes through
   both kernels (pinned regression seeds stay as ``@example`` lines).
 
@@ -43,7 +43,6 @@ REFERENCE = ChaseConfig(kernel="reference")
 #: Columnar execution strategies that must match the reference kernel.
 COLUMNAR_CONFIGS = [
     ("columnar-serial", ChaseConfig()),
-    ("columnar-thread:2", ChaseConfig(parallelism="thread:2")),
     ("columnar-process:2", ChaseConfig(parallelism="process:2")),
 ]
 

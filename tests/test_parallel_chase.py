@@ -1,12 +1,12 @@
 """Differential suite for the parallel chase: sharded == serial, always.
 
 The sharded chase's contract is *bit-identical* results: whatever the
-sharder (threads, forked replica processes, or the serial fallback),
+sharder (forked replica processes or the serial fallback),
 the produced instances, null resolutions, failure reasons and counters
 must match the serial chase exactly.  These tests sweep the scenario
 corpus — including disjunctive (ded) and failing scenarios — through
 every mode and compare, plus unit-test the sharding machinery itself
-(worker budget, fallbacks, replica-event bookkeeping, trigger-memory
+(one-forking-tier rule, fallbacks, replica-event bookkeeping, trigger-memory
 spill under the parallel path).
 """
 
@@ -20,11 +20,9 @@ from repro.chase.engine import ChaseConfig, StandardChase
 from repro.chase.parallel import (
     MatchSharder,
     ProcessSharder,
-    ThreadSharder,
-    chase_worker_budget,
     create_sharder,
-    effective_parallelism,
     parse_parallelism,
+    resolve_parallelism,
 )
 from repro.core.rewriter import rewrite
 from repro.errors import ChaseError
@@ -32,7 +30,7 @@ from repro.logic.atoms import Atom, Conjunction
 from repro.logic.dependencies import tgd
 from repro.logic.terms import Constant, Variable
 from repro.pipeline import run_rewritten
-from repro.relational.instance import Instance, ProbeView
+from repro.relational.instance import Instance
 from repro.runtime.corpus import get_corpus
 
 from corpus import (
@@ -41,7 +39,7 @@ from corpus import (
     dense_pair_instance as _dense_pair_instance,
 )
 
-MODES = ["thread:2", "process:2"]
+MODES = ["process:2"]
 
 x, y, z = Variable("x"), Variable("y"), Variable("z")
 
@@ -216,60 +214,80 @@ class TestSharderMachinery:
         assert parse_parallelism(None) == ("serial", 1)
         assert parse_parallelism("serial") == ("serial", 1)
         assert parse_parallelism("1") == ("serial", 1)
+        assert parse_parallelism("0") == ("serial", 1)
         assert parse_parallelism(4) == ("process", 4)
         assert parse_parallelism("3") == ("process", 3)
-        assert parse_parallelism("thread:2") == ("thread", 2)
         assert parse_parallelism("process:6") == ("process", 6)
-        assert parse_parallelism("THREAD:2") == ("thread", 2)
+        assert parse_parallelism("PROCESS:2") == ("process", 2)
+        assert parse_parallelism("fork:2") == ("process", 2)
         assert parse_parallelism("process:1") == ("serial", 1)
         with pytest.raises(ChaseError):
             parse_parallelism("gpu:2")
         with pytest.raises(ChaseError):
-            parse_parallelism("thread:lots")
+            parse_parallelism("process:lots")
 
-    def test_chase_worker_budget_arithmetic(self):
-        # jobs x chase workers never exceeds the cpu budget
-        assert chase_worker_budget(jobs=1, requested=4, cpu_count=8) == 4
-        assert chase_worker_budget(jobs=2, requested=4, cpu_count=8) == 4
-        assert chase_worker_budget(jobs=4, requested=4, cpu_count=8) == 2
-        assert chase_worker_budget(jobs=8, requested=4, cpu_count=8) == 1
-        assert chase_worker_budget(jobs=3, requested=8, cpu_count=8) == 2
-        assert chase_worker_budget(jobs=1, requested=2, cpu_count=1) == 1
-        # degenerate inputs stay sane
-        assert chase_worker_budget(jobs=0, requested=4, cpu_count=4) == 4
-        assert chase_worker_budget(jobs=2, requested=0, cpu_count=8) == 1
+    @pytest.mark.parametrize("spec", ["thread", "thread:2", "threads"])
+    def test_thread_specs_are_rejected(self, spec):
+        with pytest.raises(ChaseError) as excinfo:
+            parse_parallelism(spec)
+        assert "serial" in str(excinfo.value)
+        assert "process[:N]" in str(excinfo.value)
 
-    def test_effective_parallelism_caps_and_canonicalizes(self):
-        assert effective_parallelism("process:4", jobs=1, cpu_count=8) == "process:4"
-        assert effective_parallelism("process:4", jobs=4, cpu_count=8) == "process:2"
-        assert effective_parallelism("process:4", jobs=8, cpu_count=8) == "serial"
-        assert effective_parallelism("thread", jobs=2, cpu_count=4) == "thread:2"
-        assert effective_parallelism("serial", jobs=1, cpu_count=8) == "serial"
+    @pytest.mark.parametrize(
+        "spec",
+        ["process:-3", "-2", -2, "fork:-1"],
+        ids=["process:-3", "text-2", "int-2", "fork:-1"],
+    )
+    def test_negative_counts_are_rejected(self, spec):
+        with pytest.raises(ChaseError, match="negative"):
+            parse_parallelism(spec)
+
+    def test_resolve_caps_at_cpu_count(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        assert resolve_parallelism("process:4") == "process:4"
+        assert resolve_parallelism("process:16") == "process:8"
+        assert resolve_parallelism("serial") == "serial"
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        assert resolve_parallelism("process:4") == "process:2"
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        assert resolve_parallelism("process:4") == "serial"
 
     def test_create_sharder_modes(self):
         assert type(create_sharder("serial")) is MatchSharder
-        thread = create_sharder("thread:2")
-        assert isinstance(thread, ThreadSharder) and thread.workers == 2
         process = create_sharder("process:2")
         if "fork" in multiprocessing.get_all_start_methods():
             assert isinstance(process, ProcessSharder)
+            assert process.workers == 2
         else:
-            assert isinstance(process, ThreadSharder)
+            assert type(process) is MatchSharder
 
-    def test_daemonic_caller_degrades_to_threads(self, monkeypatch):
+    def test_create_sharder_caps_workers_at_cpu_count(self, monkeypatch):
+        if "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("needs fork")
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        sharder = create_sharder("process:8")
+        assert isinstance(sharder, ProcessSharder) and sharder.workers == 3
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        assert type(create_sharder("process:8")) is MatchSharder
+
+    def test_daemonic_caller_degrades_to_serial(self, monkeypatch):
         class _Daemonic:
             daemon = True
 
         monkeypatch.setattr(
             multiprocessing, "current_process", lambda: _Daemonic()
         )
-        sharder = create_sharder("process:3")
-        assert isinstance(sharder, ThreadSharder)
-        assert sharder.workers == 3
+        assert type(create_sharder("process:3")) is MatchSharder
+        assert resolve_parallelism("process:3") == "serial"
+
+    def test_no_fork_degrades_to_serial(self, monkeypatch):
+        monkeypatch.setattr(
+            multiprocessing, "get_all_start_methods", lambda: ["spawn"]
+        )
+        assert type(create_sharder("process:2")) is MatchSharder
 
     def test_describe(self):
         assert MatchSharder().describe() == "serial"
-        assert ThreadSharder(2).describe() == "thread:2"
         assert ProcessSharder(4).describe() == "process:4"
 
     def test_describe_reports_degradation(self):
@@ -310,29 +328,6 @@ class TestSharderMachinery:
             sharder.end_run()
 
 
-class TestProbeView:
-    def test_read_surface_delegates(self):
-        instance = _dense_pair_instance(10)
-        view = instance.probe_view()
-        assert isinstance(view, ProbeView)
-        assert len(view) == len(instance)
-        assert view.size("S") == instance.size("S")
-        assert set(view.facts("S")) == set(instance.facts("S"))
-        assert view.relations() == instance.relations()
-        assert view.key_count("S", (0,)) == instance.key_count("S", (0,))
-        assert view.current_generation == instance.current_generation
-        some_fact = next(iter(instance))
-        assert some_fact in view
-        assert view.index("S", (0,)) is instance.index("S", (0,))
-
-    def test_no_mutation_surface(self):
-        view = _dense_pair_instance(4).probe_view()
-        for forbidden in ("add", "add_all", "remove", "apply_null_map",
-                          "bump_generation"):
-            assert not hasattr(view, forbidden)
-
-
-@pytest.mark.skipif(os.cpu_count() is None, reason="cpu_count unavailable")
 def test_chase_result_records_sharding():
     deps = [
         tgd(
@@ -344,7 +339,11 @@ def test_chase_result_records_sharding():
     source = _dense_pair_instance(8)
     serial = StandardChase(deps, ("S", "R")).run(source)
     assert serial.sharding == "serial"
-    threaded = StandardChase(
-        deps, ("S", "R"), ChaseConfig(parallelism="thread:2")
+    sharded = StandardChase(
+        deps, ("S", "R"), ChaseConfig(parallelism="process:2")
     ).run(source)
-    assert threaded.sharding == "thread:2"
+    if "fork" in multiprocessing.get_all_start_methods():
+        assert sharded.sharding == "process:2"
+    else:
+        assert sharded.sharding == "serial"
+    assert sharded.target == serial.target

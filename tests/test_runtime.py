@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import json
+import multiprocessing
+import os
 
 import pytest
 
 from repro.cli import main
 from repro.core.rewriter import rewrite
 from repro.dsl.serializer import serialize_dependency
+from repro.errors import ChaseError
 from repro.pipeline import run_rewritten, run_scenario
 from repro.relational.instance import Instance
 from repro.runtime.cache import RewriteCache, decode_rewrite, encode_rewrite
@@ -324,44 +327,65 @@ class TestIntraChaseParallelism:
     """BatchOptions.parallelism: budgeted, recorded, and JSONL-visible."""
 
     def test_serial_run_honours_requested_parallelism(self, monkeypatch):
-        import repro.runtime.executor as executor_module
-
-        monkeypatch.setattr(executor_module.os, "cpu_count", lambda: 8)
+        if "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("needs fork")
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
         corpus = get_corpus("smoke").limited(2)
         report = run_batch(
-            corpus, BatchOptions(parallelism="thread:2", use_cache=False)
+            corpus, BatchOptions(parallelism="process:2", use_cache=False)
         )
-        assert report.parallelism == "thread:2"
-        assert report.summary.parallelism == "thread:2"
-        assert all(r.parallelism == "thread:2" for r in report.records)
+        assert report.parallelism == "process:2"
+        assert report.summary.parallelism == "process:2"
+        assert all(r.parallelism == "process:2" for r in report.records)
         assert all(r.ok for r in report.records)
 
-    def test_pool_budget_caps_chase_workers(self, monkeypatch):
-        import repro.runtime.executor as executor_module
+    def test_serial_run_caps_workers_at_cpu_count(self, monkeypatch):
+        if "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("needs fork")
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        report = run_batch(
+            get_corpus("smoke").limited(2),
+            BatchOptions(parallelism="process:4", use_cache=False),
+        )
+        assert report.parallelism == "process:2"
 
-        monkeypatch.setattr(executor_module.os, "cpu_count", lambda: 4)
+    def test_pool_runs_inner_tiers_serial(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
         corpus = get_corpus("smoke").limited(3)
         report = run_batch(
             corpus,
             BatchOptions(jobs=2, parallelism="process:4", use_cache=False),
         )
-        # 4 cpus / 2 jobs = 2 chase workers per task, never 4 — and
-        # daemonic pool workers cannot fork, so the record says threads.
-        assert report.parallelism == "thread:2"
-        assert all(r.parallelism == "thread:2" for r in report.records)
+        # The pool is the one forking tier: its tasks shard serially.
+        assert report.parallelism == "serial"
+        assert report.branch_parallelism == "serial"
+        assert all(r.parallelism == "serial" for r in report.records)
+        assert all(r.branch_parallelism == "serial" for r in report.records)
         if report.mode == "pool":
-            assert "cannot fork" in report.note
+            assert "run serial" in report.note
 
-    def test_exhausted_budget_degrades_to_serial(self, monkeypatch):
-        import repro.runtime.executor as executor_module
+    def test_pool_size_capped_at_cpu_count(self, monkeypatch):
+        corpus = get_corpus("smoke").limited(3)
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        report = run_batch(corpus, BatchOptions(jobs=2, use_cache=False))
+        assert (report.mode, report.jobs) == ("serial", 1)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        report = run_batch(corpus, BatchOptions(jobs=4, use_cache=False))
+        assert report.jobs == 2
 
-        monkeypatch.setattr(executor_module.os, "cpu_count", lambda: 2)
+    def test_single_cpu_degrades_to_serial(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
         corpus = get_corpus("smoke").limited(2)
         report = run_batch(
-            corpus,
-            BatchOptions(jobs=2, parallelism="process:4", use_cache=False),
+            corpus, BatchOptions(parallelism="process:4", use_cache=False)
         )
         assert report.parallelism == "serial"
+
+    def test_bad_parallelism_is_rejected(self):
+        corpus = get_corpus("smoke").limited(2)
+        for spec in ("thread:2", "process:-3"):
+            with pytest.raises(ChaseError):
+                run_batch(corpus, BatchOptions(parallelism=spec))
 
     def test_parallelism_round_trips_through_jsonl(self, tmp_path):
         record = TaskRecord(
@@ -389,6 +413,16 @@ class TestBatchCli:
 
     def test_unknown_corpus_is_an_error(self, capsys):
         assert main(["batch", "definitely-not-a-corpus"]) == 2
+
+    @pytest.mark.parametrize("option", ["--parallelism", "--branch-parallelism"])
+    @pytest.mark.parametrize("spec", ["bogus", "thread:2", "process:-3"])
+    def test_bad_parallelism_is_a_usage_error(self, capsys, option, spec):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["batch", "smoke", option, spec])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err
+        assert f"argument {option}" in err
 
     def test_end_to_end_with_results_and_cache(self, tmp_path, capsys):
         results = tmp_path / "records.jsonl"
