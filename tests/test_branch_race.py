@@ -366,6 +366,59 @@ class TestDisjunctiveChaseIgnoresRacing:
             raced.leaves, raced.failures, raced.branchings
         )
 
+    def _ded_setup(self):
+        return (
+            list(ded_sweep_dependencies(deds=2, insert_branches=2)),
+            ded_sweep_relations(deds=2),
+            ded_sweep_instance(deds=2),
+        )
+
+    def test_first_only_identical(self):
+        deps, relations, instance = self._ded_setup()
+        serial = DisjunctiveChase(deps, relations).run(
+            instance, first_only=True
+        )
+        raced = DisjunctiveChase(
+            deps, relations, ChaseConfig(branch_parallelism="process:2")
+        ).run(instance, first_only=True)
+        assert serial.models and serial.models == raced.models
+        assert serial.leaves == raced.leaves
+
+    def test_truncation_identical(self):
+        deps, relations, instance = self._ded_setup()
+        serial = DisjunctiveChase(deps, relations, max_leaves=3).run(instance)
+        raced = DisjunctiveChase(
+            deps,
+            relations,
+            ChaseConfig(branch_parallelism="process:2"),
+            max_leaves=3,
+        ).run(instance)
+        assert serial.truncated and raced.truncated
+        assert serial.leaves == raced.leaves
+        assert serial.models == raced.models
+
+    def test_minimize_identical(self):
+        deps, relations, instance = self._ded_setup()
+        serial = DisjunctiveChase(deps, relations).run(instance, minimize=True)
+        raced = DisjunctiveChase(
+            deps, relations, ChaseConfig(branch_parallelism="process:2")
+        ).run(instance, minimize=True)
+        assert serial.models and serial.models == raced.models
+
+    def test_node_chases_run_serial_under_any_parallel_config(self):
+        deps, relations, instance = self._ded_setup()
+        chase = DisjunctiveChase(
+            deps,
+            relations,
+            ChaseConfig(
+                parallelism="process:2", branch_parallelism="process:2"
+            ),
+        )
+        assert chase.config.parallelism == "serial"
+        assert chase.config.branch_parallelism == "serial"
+        serial = DisjunctiveChase(deps, relations).run(instance)
+        assert chase.run(instance).models == serial.models
+
 
 class TestOneForkingTier:
     """Only the outermost requested tier forks: jobs > branch racing >
