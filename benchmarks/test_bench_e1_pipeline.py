@@ -46,30 +46,33 @@ def test_bench_verification(benchmark):
 
 def test_report_e1(benchmark):
     """The E1 summary table (stage breakdown at a fixed size)."""
-    import time
+    def run_report():
+        import time
 
-    scenario = build_scenario()
-    source = generate_source_instance(products=100, stores=8, seed=1)
+        scenario = build_scenario()
+        source = generate_source_instance(products=100, stores=8, seed=1)
 
-    t0 = time.perf_counter()
-    rewritten = rewrite(scenario)
-    t1 = time.perf_counter()
-    chase_result = GreedyDedChase(
-        rewritten.dependencies, rewritten.source_relations()
-    ).run(source)
-    t2 = time.perf_counter()
-    target = strip_auxiliary(chase_result.target)
-    report = verify_solution(scenario, source, target)
-    t3 = time.perf_counter()
+        t0 = time.perf_counter()
+        rewritten = rewrite(scenario)
+        t1 = time.perf_counter()
+        chase_result = GreedyDedChase(
+            rewritten.dependencies, rewritten.source_relations()
+        ).run(source)
+        t2 = time.perf_counter()
+        target = strip_auxiliary(chase_result.target)
+        report = verify_solution(scenario, source, target)
+        t3 = time.perf_counter()
 
-    table = Table(
-        "E1: pipeline stage breakdown (100 products)",
-        ["stage", "time (s)", "output"],
-    )
-    table.add("rewrite", t1 - t0, f"{len(rewritten.dependencies)} dependencies "
-                                  f"(1 ded = d0)")
-    table.add("chase", t2 - t1, f"{len(target)} target facts, "
-                                f"{chase_result.stats.nulls_created} nulls")
-    table.add("verify", t3 - t2, str(report))
-    print_experiment_table(table)
-    assert chase_result.ok and report.ok
+        table = Table(
+            "E1: pipeline stage breakdown (100 products)",
+            ["stage", "time (s)", "output"],
+        )
+        table.add("rewrite", t1 - t0, f"{len(rewritten.dependencies)} dependencies "
+                                      f"(1 ded = d0)")
+        table.add("chase", t2 - t1, f"{len(target)} target facts, "
+                                    f"{chase_result.stats.nulls_created} nulls")
+        table.add("verify", t3 - t2, str(report))
+        print_experiment_table(table)
+        assert chase_result.ok and report.ok
+
+    benchmark.pedantic(run_report, rounds=1, iterations=1)

@@ -37,42 +37,45 @@ def test_bench_chase_scaling(benchmark, running_rewritten_no_key, products):
 
 
 def test_report_e2(benchmark, running_rewritten_no_key):
-    table = Table(
-        "E2: chase scaling (ded-free running example)",
-        ["products", "target facts", "nulls", "rounds", "time (s)", "facts/s"],
-    )
-    sizes = QUICK_SIZES if quick_mode() else SIZES
-    times = {}
-    for products in sizes:
-        source = generate_source_instance(products=products, stores=10, seed=2)
-        engine = StandardChase(
-            running_rewritten_no_key.dependencies,
-            running_rewritten_no_key.source_relations(),
+    def run_report():
+        table = Table(
+            "E2: chase scaling (ded-free running example)",
+            ["products", "target facts", "nulls", "rounds", "time (s)", "facts/s"],
         )
-        start = time.perf_counter()
-        result = engine.run(source)
-        elapsed = time.perf_counter() - start
-        times[products] = elapsed
-        table.add(
-            products,
-            len(result.target),
-            result.stats.nulls_created,
-            result.stats.rounds,
-            elapsed,
-            int(len(result.target) / elapsed) if elapsed else 0,
+        sizes = QUICK_SIZES if quick_mode() else SIZES
+        times = {}
+        for products in sizes:
+            source = generate_source_instance(products=products, stores=10, seed=2)
+            engine = StandardChase(
+                running_rewritten_no_key.dependencies,
+                running_rewritten_no_key.source_relations(),
+            )
+            start = time.perf_counter()
+            result = engine.run(source)
+            elapsed = time.perf_counter() - start
+            times[products] = elapsed
+            table.add(
+                products,
+                len(result.target),
+                result.stats.nulls_created,
+                result.stats.rounds,
+                elapsed,
+                int(len(result.target) / elapsed) if elapsed else 0,
+            )
+        print_experiment_table(table)
+        record_bench_json(
+            "e2_chase_scaling",
+            {
+                "quick": quick_mode(),
+                "seconds_by_products": {str(k): v for k, v in times.items()},
+            },
         )
-    print_experiment_table(table)
-    record_bench_json(
-        "e2_chase_scaling",
-        {
-            "quick": quick_mode(),
-            "seconds_by_products": {str(k): v for k, v in times.items()},
-        },
-    )
-    # Shape check: the compiled evaluator keeps the chase near-linear —
-    # growing the data by Nx may cost at most ~1.3Nx the time (1.3x
-    # headroom for cache effects), plus a small absolute floor so timer
-    # noise on tiny runs cannot flake the bound.  This runs in quick
-    # (CI) mode too, so a superlinear regression fails the smoke job.
-    fact_ratio = sizes[-1] / sizes[0]
-    assert times[sizes[-1]] <= times[sizes[0]] * fact_ratio * 1.3 + 0.05, times
+        # Shape check: the compiled evaluator keeps the chase near-linear —
+        # growing the data by Nx may cost at most ~1.3Nx the time (1.3x
+        # headroom for cache effects), plus a small absolute floor so timer
+        # noise on tiny runs cannot flake the bound.  This runs in quick
+        # (CI) mode too, so a superlinear regression fails the smoke job.
+        fact_ratio = sizes[-1] / sizes[0]
+        assert times[sizes[-1]] <= times[sizes[0]] * fact_ratio * 1.3 + 0.05, times
+
+    benchmark.pedantic(run_report, rounds=1, iterations=1)

@@ -37,36 +37,39 @@ def test_bench_greedy_with_failures(benchmark, flags):
 
 
 def test_report_e4(benchmark):
-    table = Table(
-        "E4: failing derived scenarios vs number of ded constraints",
-        [
-            "flag keys",
-            "deds",
-            "scenarios tried",
-            "failed",
-            "time (s)",
-        ],
-    )
-    tried = {}
-    for flags in FLAGS:
-        rewritten = rewrite(flagged_scenario(flags=flags))
-        source = flagged_instance(products=4, name_pairs=1, seed=3)
-        engine = GreedyDedChase(
-            rewritten.dependencies,
-            rewritten.source_relations(),
-            max_scenarios=512,
+    def run_report():
+        table = Table(
+            "E4: failing derived scenarios vs number of ded constraints",
+            [
+                "flag keys",
+                "deds",
+                "scenarios tried",
+                "failed",
+                "time (s)",
+            ],
         )
-        result = engine.run(source)
-        assert result.ok, result.failure_reason
-        tried[flags] = result.scenarios_tried
-        table.add(
-            flags,
-            len(rewritten.deds()),
-            result.scenarios_tried,
-            result.scenarios_tried - 1,
-            result.stats.elapsed_seconds,
-        )
-    print_experiment_table(table)
-    # Shape: the failing-scenario count grows with the constraint count,
-    # strictly (each extra ded adds more cheap-but-doomed selections).
-    assert tried[1] < tried[2] < tried[3] < tried[4]
+        tried = {}
+        for flags in FLAGS:
+            rewritten = rewrite(flagged_scenario(flags=flags))
+            source = flagged_instance(products=4, name_pairs=1, seed=3)
+            engine = GreedyDedChase(
+                rewritten.dependencies,
+                rewritten.source_relations(),
+                max_scenarios=512,
+            )
+            result = engine.run(source)
+            assert result.ok, result.failure_reason
+            tried[flags] = result.scenarios_tried
+            table.add(
+                flags,
+                len(rewritten.deds()),
+                result.scenarios_tried,
+                result.scenarios_tried - 1,
+                result.stats.elapsed_seconds,
+            )
+        print_experiment_table(table)
+        # Shape: the failing-scenario count grows with the constraint count,
+        # strictly (each extra ded adds more cheap-but-doomed selections).
+        assert tried[1] < tried[2] < tried[3] < tried[4]
+
+    benchmark.pedantic(run_report, rounds=1, iterations=1)

@@ -49,39 +49,42 @@ def test_bench_prediction_wide_partition(benchmark):
 
 
 def test_report_e5(benchmark):
-    table = Table(
-        "E5: static ded prediction vs actual rewriting",
-        [
-            "scenario",
-            "predicted",
-            "actual",
-            "agrees",
-            "problematic views",
-            "analysis (s)",
-            "rewrite (s)",
-        ],
-    )
-    all_agree = True
-    for name, factory in FAMILIES:
-        scenario = factory()
-        t0 = time.perf_counter()
-        prediction = predict_deds(scenario)
-        t1 = time.perf_counter()
-        result = rewrite(scenario)
-        t2 = time.perf_counter()
-        agrees = prediction.may_have_deds == result.has_deds
-        all_agree &= agrees
-        # Soundness must hold regardless of exactness.
-        if not prediction.may_have_deds:
-            assert not result.has_deds
-        table.add(
-            name,
-            prediction.may_have_deds,
-            result.has_deds,
-            agrees,
-            ", ".join(prediction.problematic_views()) or "-",
-            t1 - t0,
-            t2 - t1,
+    def run_report():
+        table = Table(
+            "E5: static ded prediction vs actual rewriting",
+            [
+                "scenario",
+                "predicted",
+                "actual",
+                "agrees",
+                "problematic views",
+                "analysis (s)",
+                "rewrite (s)",
+            ],
         )
-    print_experiment_table(table)
-    assert all_agree  # exact on every family we ship
+        all_agree = True
+        for name, factory in FAMILIES:
+            scenario = factory()
+            t0 = time.perf_counter()
+            prediction = predict_deds(scenario)
+            t1 = time.perf_counter()
+            result = rewrite(scenario)
+            t2 = time.perf_counter()
+            agrees = prediction.may_have_deds == result.has_deds
+            all_agree &= agrees
+            # Soundness must hold regardless of exactness.
+            if not prediction.may_have_deds:
+                assert not result.has_deds
+            table.add(
+                name,
+                prediction.may_have_deds,
+                result.has_deds,
+                agrees,
+                ", ".join(prediction.problematic_views()) or "-",
+                t1 - t0,
+                t2 - t1,
+            )
+        print_experiment_table(table)
+        assert all_agree  # exact on every family we ship
+
+    benchmark.pedantic(run_report, rounds=1, iterations=1)

@@ -118,58 +118,61 @@ def test_bench_rewrite_variants(benchmark, name, factory):
 
 
 def test_report_e7(benchmark):
-    table = Table(
-        "E7: view-language expressiveness vs rewriting & execution cost",
-        [
-            "view language",
-            "deps out",
-            "tgds",
-            "denials",
-            "deds",
-            "engine",
-            "rewrite (s)",
-            "chase (s)",
-        ],
-    )
-    products = 60 if quick_mode() else 300
-    source = generate_source_instance(products=products, stores=10, seed=6)
-    rows = {}
-    for name, factory, expect_ded in VARIANTS:
-        scenario = factory()
-        t0 = time.perf_counter()
-        rewritten = rewrite(scenario)
-        t1 = time.perf_counter()
-        assert rewritten.has_deds == expect_ded
-        if rewritten.has_deds:
-            engine_name = "greedy-ded"
-            result = GreedyDedChase(
-                rewritten.dependencies, rewritten.source_relations()
-            ).run(source)
-        else:
-            engine_name = "standard"
-            result = StandardChase(
-                rewritten.dependencies, rewritten.source_relations()
-            ).run(source)
-        t2 = time.perf_counter()
-        assert result.ok
-        counts = rewritten.counts()
-        table.add(
-            name,
-            len(rewritten.dependencies),
-            counts.get("tgd", 0),
-            counts.get("denial", 0),
-            counts.get("ded", 0),
-            engine_name,
-            t1 - t0,
-            t2 - t1,
+    def run_report():
+        table = Table(
+            "E7: view-language expressiveness vs rewriting & execution cost",
+            [
+                "view language",
+                "deps out",
+                "tgds",
+                "denials",
+                "deds",
+                "engine",
+                "rewrite (s)",
+                "chase (s)",
+            ],
         )
-        rows[name] = {
-            "dependencies": len(rewritten.dependencies),
-            "engine": engine_name,
-            "rewrite_seconds": t1 - t0,
-            "chase_seconds": t2 - t1,
-        }
-    print_experiment_table(table)
-    record_bench_json(
-        "e7_tradeoff", {"quick": quick_mode(), "products": products, "rows": rows}
-    )
+        products = 60 if quick_mode() else 300
+        source = generate_source_instance(products=products, stores=10, seed=6)
+        rows = {}
+        for name, factory, expect_ded in VARIANTS:
+            scenario = factory()
+            t0 = time.perf_counter()
+            rewritten = rewrite(scenario)
+            t1 = time.perf_counter()
+            assert rewritten.has_deds == expect_ded
+            if rewritten.has_deds:
+                engine_name = "greedy-ded"
+                result = GreedyDedChase(
+                    rewritten.dependencies, rewritten.source_relations()
+                ).run(source)
+            else:
+                engine_name = "standard"
+                result = StandardChase(
+                    rewritten.dependencies, rewritten.source_relations()
+                ).run(source)
+            t2 = time.perf_counter()
+            assert result.ok
+            counts = rewritten.counts()
+            table.add(
+                name,
+                len(rewritten.dependencies),
+                counts.get("tgd", 0),
+                counts.get("denial", 0),
+                counts.get("ded", 0),
+                engine_name,
+                t1 - t0,
+                t2 - t1,
+            )
+            rows[name] = {
+                "dependencies": len(rewritten.dependencies),
+                "engine": engine_name,
+                "rewrite_seconds": t1 - t0,
+                "chase_seconds": t2 - t1,
+            }
+        print_experiment_table(table)
+        record_bench_json(
+            "e7_tradeoff", {"quick": quick_mode(), "products": products, "rows": rows}
+        )
+
+    benchmark.pedantic(run_report, rounds=1, iterations=1)

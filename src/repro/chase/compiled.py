@@ -42,7 +42,7 @@ from repro.logic.terms import Term, Variable
 from repro.relational.delta import DeltaPlans, PlanCache, RowDelta
 from repro.relational.instance import Instance
 from repro.relational.kernel import ColumnarInstance, TermPool
-from repro.relational.query import Binding
+from repro.relational.query import Binding, _compile_comparison
 
 __all__ = ["CompiledDependency", "compile_dependencies"]
 
@@ -89,21 +89,16 @@ def _code_getter(term: Term, slot_of: Dict[Variable, int], pool: TermPool):
     return lambda _row, _code=code: _code
 
 
-def _encoded_ground_check(comparison, slot_of: Dict[Variable, int], pool: TermPool):
-    left_get = _code_getter(comparison.left, slot_of, pool)
-    right_get = _code_getter(comparison.right, slot_of, pool)
-    decode = pool.decode
+def _code_check(comparison, slot_of: Dict[Variable, int], pool: TermPool):
+    """A disjunct comparison compiled onto premise rows.
 
-    def check(row) -> bool:
-        ground = type(comparison)(
-            comparison.op, decode(left_get(row)), decode(right_get(row))
-        )
-        try:
-            return ground.evaluate()
-        except TypingError:
-            return False
-
-    return check
+    The check decides on codes through the kernel's one comparison
+    compiler; a variable the premise does not bind fails loudly when
+    fired, like :func:`_code_getter`."""
+    for variable in comparison.variables():
+        if variable not in slot_of:
+            return _code_getter(variable, slot_of, pool)
+    return _compile_comparison(comparison, slot_of, pool)
 
 
 class _DisjunctKernel:
@@ -111,7 +106,10 @@ class _DisjunctKernel:
 
     ``equalities`` are (left, right) code getters (codes compare like
     terms: the pool interns by term equality); ``comparisons`` pair the
-    original comparison (failure messages) with a compiled check;
+    original comparison (failure messages) with a check that decides
+    on codes — code equality for ``=``/``!=``, the pool's cached typed
+    keys for order operators, no decode (see
+    :func:`repro.relational.query._compile_comparison`);
     ``atom_templates`` are per-atom (relation, entries) where each entry
     is (kind, value) with kind 0 = premise slot, 1 = existential index,
     2 = interned code; ``existential_hints`` are the fresh-null hints in
@@ -129,7 +127,7 @@ class _DisjunctKernel:
             for equality in disjunct.equalities
         )
         self.comparisons = tuple(
-            (comparison, _encoded_ground_check(comparison, slot_of, pool))
+            (comparison, _code_check(comparison, slot_of, pool))
             for comparison in disjunct.comparisons
         )
         existential_index: Dict[Variable, int] = {}
@@ -324,34 +322,62 @@ class CompiledDependency:
             for i in range(len(self.dependency.disjuncts))
         )
 
-    def disjunct_satisfied_encoded(
-        self, disjunct_index: int, row: Tuple[int, ...], working
-    ) -> bool:
-        """Encoded :meth:`disjunct_satisfied` over a premise code row.
+    def satisfaction_probe(self, working):
+        """Encoded :meth:`satisfied` over premise code rows, pinned to
+        ``working`` for one enforcement pass.
 
-        Equality is code equality (the pool interns by term equality),
-        comparisons decode-and-delegate, and the atom probe is the same
-        hash anti-join over the incrementally-maintained *encoded*
-        index — facts enforced for one match stay visible to the next."""
-        kernel = self.disjunct_kernel(disjunct_index, working.pool)
-        for left_get, right_get in kernel.equalities:
-            if left_get(row) != right_get(row):
-                return False
-        for _comparison, check in kernel.comparisons:
-            if not check(row):
-                return False
-        if not kernel.atom_templates:
-            return True
-        return self._satisfaction[disjunct_index].exists_encoded(
-            working, self.premise_varlist, row
-        )
+        Per disjunct, in order: equalities compare codes, comparisons
+        decide on codes, and the atoms are a hash anti-join over the
+        incrementally maintained encoded index — facts enforced for one
+        match stay visible to the next.  The atom probe consults the
+        plan cache on every call (see :meth:`DeltaPlans.probe`); a
+        disjunct whose atoms are never reached never consults it.
+        Build a new probe per pass: a null-map rewrite between passes
+        replaces the indexes a probe pins.
+        """
+        count = len(self._satisfaction)
+        if count == 1:
+            return self._disjunct_test(0, working)
+        # Later disjuncts are lowered on first reach: lowering interns
+        # a disjunct's literals, and one never reached must not grow
+        # the pool.
+        tests: List[Optional[object]] = [None] * count
 
-    def satisfied_encoded(self, row: Tuple[int, ...], working) -> bool:
-        """Encoded :meth:`satisfied` over a premise code row."""
-        return any(
-            self.disjunct_satisfied_encoded(i, row, working)
-            for i in range(len(self.dependency.disjuncts))
+        def satisfied(row) -> bool:
+            for index in range(count):
+                test = tests[index]
+                if test is None:
+                    test = tests[index] = self._disjunct_test(index, working)
+                if test(row):  # type: ignore[operator]
+                    return True
+            return False
+
+        return satisfied
+
+    def _disjunct_test(self, index: int, working):
+        """One disjunct's test for :meth:`satisfaction_probe`: every
+        equality and comparison holds, then the atom probe (if any)
+        finds a match."""
+        kernel = self.disjunct_kernel(index, working.pool)
+        checks = tuple(
+            (lambda row, _l=left, _r=right: _l(row) == _r(row))
+            for left, right in kernel.equalities
+        ) + tuple(check for _comparison, check in kernel.comparisons)
+        atoms = (
+            self._satisfaction[index].probe(working, self.premise_varlist)
+            if kernel.atom_templates
+            else None
         )
+        if not checks:
+            return atoms if atoms is not None else (lambda _row: True)
+
+        def holds(row) -> bool:
+            for check in checks:
+                if not check(row):
+                    return False
+            return atoms is None or atoms(row)
+
+        return holds
 
 
 def compile_dependencies(

@@ -820,6 +820,9 @@ class StandardChase:
         order), sorted by the pool's cached per-code order keys — the
         same total order :func:`_binding_order` produces — so null
         invention and unions are bit-identical to the reference kernel.
+        Satisfaction runs through one probe per pass
+        (:meth:`CompiledDependency.satisfaction_probe`) that decides on
+        codes and consults the plan cache on every call.
         """
         compiled = self.compiled[index]
         with rec.span("chase.enumerate", dependency=index) as enum_span:
@@ -830,7 +833,7 @@ class StandardChase:
             return 0
         stats.premise_matches += len(matches)
         order_key = working.pool.order_key
-        row_order = lambda row: tuple(order_key(code) for code in row)
+        row_order = lambda row: tuple(map(order_key, row))
         varlist = compiled.premise_varlist
         decode = working.decode_term
         if not dependency.disjuncts:  # denial
@@ -853,6 +856,14 @@ class StandardChase:
             if track_events:
                 mark = working.bump_generation()
                 sharder.record_generation()
+            # One satisfaction probe per pass: it consults the plan cache
+            # on every call but keeps its compiled checks and pinned
+            # index probes while the plan stays the same; the pass only
+            # appends rows, so those pins stay current until the null
+            # map below rewrites the store.
+            satisfied = (
+                None if oblivious else compiled.satisfaction_probe(working)
+            )
             for row in ordered:
                 resolved = (
                     tuple(find(code) if code < 0 else code for code in row)
@@ -871,7 +882,7 @@ class StandardChase:
                     if trigger in fired_triggers:
                         continue
                     fired_triggers.add(trigger)
-                elif compiled.satisfied_encoded(resolved, working):
+                elif satisfied(resolved):  # type: ignore[misc]
                     continue
                 self._enforce_disjunct_encoded(
                     index, dependency, chosen_index, resolved, working,

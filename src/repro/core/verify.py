@@ -239,13 +239,15 @@ class _ConclusionProbe:
     ``equalities`` pair two readers of a row: a premise slot, an
     interned constant, or — for a variable the premise does not bind —
     the variable itself, which (as in the decoded check) only equals
-    itself.  ``plan`` is the atoms-and-comparisons existence probe over
-    the target side, seeded through ``fill`` ((plan slot, row index)
-    pairs); it is ``None`` for a disjunct with neither, which always
-    holds once its equalities do.
+    itself.  ``exists`` is the atoms-and-comparisons existence probe
+    over the target side, pinned once per check and seeded straight
+    from the premise row (see
+    :meth:`~repro.relational.query._EncodedPlan.probe`); it is ``None``
+    for a disjunct with neither, which always holds once its
+    equalities do.
     """
 
-    __slots__ = ("equalities", "plan", "fill", "store")
+    __slots__ = ("equalities", "exists")
 
     def __init__(self, disjunct, bound, slot_of, store) -> None:
         pool = store.pool
@@ -253,25 +255,21 @@ class _ConclusionProbe:
             (_reader(e.left, slot_of, pool), _reader(e.right, slot_of, pool))
             for e in disjunct.equalities
         )
-        self.store = store
-        self.plan = None
-        self.fill = ()
+        self.exists = None
         if disjunct.atoms or disjunct.comparisons:
             body = Conjunction(
                 atoms=disjunct.atoms, comparisons=disjunct.comparisons
             )
-            self.plan = compile_query(body, bound, store).encoded(pool)
-            self.fill = tuple(
-                (self.plan.slot_of[v], slot_of[v]) for v in sorted(bound)
+            plan = compile_query(body, bound, store).encoded(pool)
+            self.exists = plan.probe(
+                store, tuple((plan.slot_of[v], slot_of[v]) for v in sorted(bound))
             )
 
     def holds(self, row) -> bool:
         for left, right in self.equalities:
             if left(row) != right(row):
                 return False
-        return self.plan is None or self.plan.exists_filled(
-            self.store, self.fill, row
-        )
+        return self.exists is None or self.exists(row)
 
 
 def _reader(term, slot_of, pool):

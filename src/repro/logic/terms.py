@@ -36,8 +36,12 @@ __all__ = [
 class Constant:
     """An ordinary database value (int, float, bool or str).
 
-    Values of different Python types never compare equal as constants,
-    mirroring typed relational attributes: ``Constant(1) != Constant("1")``.
+    Constants compare by Python value equality.  A string never equals a
+    non-string, mirroring typed relational attributes:
+    ``Constant(1) != Constant("1")``.  Numeric values do compare across
+    types: ``Constant(1) == Constant(1.0) == Constant(True)`` (equal
+    hashes too), so the three are one term — one set member, one dict
+    key, one code in the columnar kernel's term pool.
     """
 
     value: Union[int, float, bool, str]

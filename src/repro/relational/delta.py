@@ -127,10 +127,15 @@ class PlanCache:
     DRIFT_FACTOR = 4.0
 
     def __init__(self) -> None:
-        # key -> (plan, total size at compile, per-step bucket estimates)
+        # key -> (plan, growth limit, bucket estimates, watched relations)
         self._plans: Dict[
             object,
-            Tuple[CompiledQuery, int, Dict[Tuple[str, Tuple[int, ...]], float]],
+            Tuple[
+                CompiledQuery,
+                int,
+                Tuple[Tuple[str, Tuple[int, ...], float], ...],
+                Tuple[str, ...],
+            ],
         ] = {}
         #: Plans built from scratch / rebuilt under the recompile policy /
         #: served from cache — the ``plan.*`` metrics the flight recorder
@@ -148,40 +153,55 @@ class PlanCache:
         instance: Instance,
         first_atom: Optional[int] = None,
     ) -> CompiledQuery:
+        """The cached plan for ``key``, recompiled when the policy says so.
+
+        Callers consult this on every evaluation — the chase on every
+        satisfaction probe — so a hit costs only the policy check: the
+        watched relations and the growth limit are kept in the entry,
+        and the drift check reads O(1) statistics per probed key-set.
+        A caller may keep work derived from the returned plan while the
+        same plan object keeps coming back.
+        """
         entry = self._plans.get(key)
         size = instance.size
-        current = sum(size(r) for r in {a.relation for a in body.atoms})
         if entry is not None:
-            plan, compiled_at, estimates = entry
-            if current < 2 * max(compiled_at, self.RECOMPILE_FLOOR) and not (
-                self._drifted(estimates, instance)
+            plan, limit, estimates, relations = entry
+            if sum(map(size, relations)) < limit and not self._drifted(
+                estimates, instance
             ):
                 self.served += 1
                 return plan
             self.recompiles += 1
+        else:
+            relations = tuple({atom.relation: None for atom in body.atoms})
         self.compiles += 1
         plan = CompiledQuery(body, bound, instance, first_atom)
-        self._plans[key] = (plan, current, self._snapshot(plan, instance))
+        self._plans[key] = (
+            plan,
+            2 * max(sum(map(size, relations)), self.RECOMPILE_FLOOR),
+            self._snapshot(plan, instance),
+            relations,
+        )
         return plan
 
     def _snapshot(
         self, plan: CompiledQuery, instance: Instance
-    ) -> Dict[Tuple[str, Tuple[int, ...]], float]:
-        """Bucket estimates of every index probe the plan performs."""
-        out: Dict[Tuple[str, Tuple[int, ...]], float] = {}
+    ) -> Tuple[Tuple[str, Tuple[int, ...], float], ...]:
+        """Bucket estimates of every index probe the plan performs, as
+        (relation, positions, estimate floored at 1) triples."""
+        out = []
         for step in plan.steps:
             if not step.positions:
                 continue
             keys = instance.key_count(step.relation, step.positions)
             if keys:
-                out[(step.relation, step.positions)] = (
-                    instance.size(step.relation) / keys
-                )
-        return out
+                estimate = instance.size(step.relation) / keys
+                out.append((step.relation, step.positions, max(estimate, 1.0)))
+        return tuple(out)
 
     def _drifted(
         self,
-        estimates: Dict[Tuple[str, Tuple[int, ...]], float],
+        estimates: Tuple[Tuple[str, Tuple[int, ...], float], ...],
         instance: Instance,
     ) -> bool:
         """Whether any probed key-set's selectivity left its trust band.
@@ -189,7 +209,8 @@ class PlanCache:
         Consults only statistics that are O(1) to read (live index key
         counts or version-fresh cached scans) — a fetch must never scan.
         """
-        for (relation, positions), compiled_estimate in estimates.items():
+        factor = self.DRIFT_FACTOR
+        for relation, positions, compiled_estimate in estimates:
             size = instance.size(relation)
             if size < self.RECOMPILE_FLOOR:
                 continue
@@ -197,8 +218,10 @@ class PlanCache:
             if not keys:
                 continue
             estimate = size / keys
-            low, high = sorted((estimate, max(compiled_estimate, 1.0)))
-            if high >= low * self.DRIFT_FACTOR:
+            if (
+                estimate >= compiled_estimate * factor
+                or compiled_estimate >= estimate * factor
+            ):
                 return True
         return False
 
@@ -407,16 +430,36 @@ class DeltaPlans:
             out += block
         return out
 
-    def exists_encoded(
-        self, store, outer_varlist: Tuple[Variable, ...], row: Tuple[int, ...]
-    ) -> bool:
-        """Existence probe seeded from an encoded outer row (the chase's
-        satisfaction check: ``row`` is aligned to ``outer_varlist``)."""
-        plan = self._cache.plan((self._key, "full"), self.body, self.bound, store)
-        encoded = plan.encoded(store.pool)
-        return encoded.exists_filled(
-            store, encoded.fill_for(outer_varlist), row
-        )
+    def probe(self, store, outer_varlist: Tuple[Variable, ...]):
+        """A satisfaction probe over encoded outer rows aligned to
+        ``outer_varlist`` (the chase's premise rows).
+
+        Each call consults the plan cache, so the recompile policy
+        (growth, drift) sees every probe, as it sees every other
+        evaluation; the pinned :meth:`~repro.relational.query._EncodedPlan.probe` is
+        reused while the cache keeps returning the same plan object and
+        rebuilt when it does not.  Build one per enforcement pass: the
+        probe pins index objects that stay current only while ``store``
+        grows through encoded appends.
+        """
+        plan_of = self._cache.plan
+        key = (self._key, "full")
+        body = self.body
+        bound = self.bound
+        pool = store.pool
+        pinned = None
+        holds = None
+
+        def probe(row) -> bool:
+            nonlocal pinned, holds
+            plan = plan_of(key, body, bound, store)
+            if plan is not pinned:
+                encoded = plan.encoded(pool)
+                holds = encoded.probe(store, encoded.fill_for(outer_varlist))
+                pinned = plan
+            return holds(row)
+
+        return probe
 
     def exists(self, instance: Instance, seed: Optional[Binding] = None) -> bool:
         """Whether the body has at least one match (short-circuits)."""

@@ -13,7 +13,9 @@ asked for:
     engine's canonical ``_term_order`` and fresh chase nulls never touch
     the pool's dict.  The pool precomputes each constant's order key
     (``(0, 0, repr(term))``) at intern time, so sorting encoded rows
-    reproduces the engine's canonical enforcement order exactly.  The
+    reproduces the engine's canonical enforcement order exactly, and
+    its typed comparison key (numeric or str), so ``<``/``>`` checks
+    over encoded rows read a cached key instead of decoding.  The
     pool is append-only: forked chase replicas inherit it copy-on-write,
     and the parent ships ``entries_since`` deltas if it ever grows
     mid-run (see :meth:`TermPool.adopt_entries`).
@@ -59,7 +61,7 @@ from typing import (
 from repro.errors import SchemaError
 from repro.logic.atoms import Atom
 from repro.logic.terms import Constant, Null, Term
-from repro.relational.types import term_order_key
+from repro.relational.types import term_compare_key, term_order_key
 
 __all__ = [
     "TermPool",
@@ -90,9 +92,14 @@ class TermPool:
     order, nulls encode arithmetically (negative) without touching the
     pool.  Interning is thread-safe; decode/order-key reads are
     lock-free (entries are published before their id is).
+
+    Equal constants share one code, and constant equality is Python
+    value equality: ``Constant(1)``, ``Constant(1.0)`` and
+    ``Constant(True)`` are one term to the pool, which decodes the code
+    as whichever of them was interned first.
     """
 
-    __slots__ = ("_lock", "_ids", "_terms", "_orders")
+    __slots__ = ("_lock", "_ids", "_terms", "_orders", "typed_keys")
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
@@ -100,6 +107,11 @@ class TermPool:
         # Slot 0 is a sentinel so code == list index.
         self._terms: List[Optional[Term]] = [None]
         self._orders: List[Optional[Tuple[int, int, str]]] = [None]
+        #: Per-code :func:`~repro.relational.types.term_compare_key`
+        #: (index = code; constants only, so never ``None`` past slot
+        #: 0).  Append-only and never rebound, so compiled comparisons
+        #: hold the list itself and read codes interned after them.
+        self.typed_keys: List[Optional[Tuple[int, object]]] = [None]
 
     def __len__(self) -> int:
         """Interned constants (the ``instance.intern_size`` gauge)."""
@@ -118,6 +130,7 @@ class TermPool:
                 code = len(self._terms)
                 self._terms.append(term)
                 self._orders.append(term_order_key(term))
+                self.typed_keys.append(term_compare_key(term))
                 # Publish the id last: lock-free readers that obtain a
                 # code always find its entry populated.
                 self._ids[term] = code
@@ -176,6 +189,7 @@ class TermPool:
                 code = len(self._terms)
                 self._terms.append(term)
                 self._orders.append(term_order_key(term))
+                self.typed_keys.append(term_compare_key(term))
                 self._ids[term] = code  # type: ignore[index]
 
 

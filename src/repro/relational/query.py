@@ -41,6 +41,7 @@ prove the compiled pipeline computes the same results.
 
 from __future__ import annotations
 
+import operator
 from itertools import islice
 from typing import (
     Dict,
@@ -58,6 +59,7 @@ from repro.logic.substitution import Substitution
 from repro.logic.terms import Term, Variable
 from repro.relational.instance import Instance
 from repro.relational.kernel import ColumnarInstance, RowMask, TermPool
+from repro.relational.types import term_compare_key
 
 __all__ = [
     "CompiledQuery",
@@ -336,31 +338,103 @@ def _compile_block_join(
     return driver
 
 
+#: ``left op right`` holds exactly when ``right mirrored-op left`` does.
+_MIRRORED = {"=": "=", "!=": "!=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
+
+_ORDER_OPS = {
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+}
+
+
 def _compile_comparison(comparison: Comparison, slot_of, pool: TermPool):
-    """A comparison as a closure over the encoded slot array.
+    """A comparison as a closure over an encoded row, deciding on codes.
 
-    Decodes the (at most two) operands and delegates to the decoded
-    ground check, so typing semantics (nulls never order) are shared
-    with the reference pipeline by construction.
+    ``slot_of`` maps each of the comparison's variables to its position
+    in the rows the closure will see.  ``=`` and ``!=`` compare codes
+    (the pool interns by term equality, so code equality *is* term
+    equality, nulls included).  Order operators read the pool's cached
+    typed keys (:attr:`TermPool.typed_keys`): a null or a pair of
+    different kinds (numeric vs str) never holds — the outcome
+    :meth:`Comparison.evaluate` reaches through its ``TypingError`` —
+    and otherwise the two values compare as Python values.  Nothing is
+    decoded and no :class:`Comparison` is built per check; a literal on
+    the left is mirrored to the right, and a ground comparison is
+    decided once, here.  The chase's disjunct kernels, the plans' step
+    and seed comparisons and the pinned probes all compile through this
+    one function.
     """
-    decode = pool.decode
-    left, right = comparison.left, comparison.right
-    left_slot = slot_of[left] if isinstance(left, Variable) else None
-    right_slot = slot_of[right] if isinstance(right, Variable) else None
-    op = comparison.op
+    op, left, right = comparison.op, comparison.left, comparison.right
+    if not isinstance(left, Variable):
+        if not isinstance(right, Variable):
+            result = _check_comparison(comparison, {})
+            return lambda _row: result
+        op, left, right = _MIRRORED[op], right, left
+    a = slot_of[left]
+    if op == "=" or op == "!=":
+        if isinstance(right, Variable):
+            b = slot_of[right]
+            if op == "=":
+                return lambda row: row[a] == row[b]
+            return lambda row: row[a] != row[b]
+        code = pool.encode(right)
+        if op == "=":
+            return lambda row: row[a] == code
+        return lambda row: row[a] != code
+    compare = _ORDER_OPS[op]
+    typed = pool.typed_keys
+    if isinstance(right, Variable):
+        b = slot_of[right]
 
-    def check(values) -> bool:
-        ground = Comparison(
-            op,
-            left if left_slot is None else decode(values[left_slot]),
-            right if right_slot is None else decode(values[right_slot]),
-        )
-        try:
-            return ground.evaluate()
-        except TypingError:
+        def check_pair(row) -> bool:
+            x = row[a]
+            y = row[b]
+            if x < 0 or y < 0:
+                return False
+            x_key = typed[x]
+            y_key = typed[y]
+            return x_key[0] == y_key[0] and compare(x_key[1], y_key[1])
+
+        return check_pair
+    key = term_compare_key(right)
+    if key is None:
+        return lambda _row: False
+    kind, value = key
+
+    def check_literal(row) -> bool:
+        x = row[a]
+        if x < 0:
             return False
+        x_key = typed[x]
+        return x_key[0] == kind and compare(x_key[1], value)
 
-    return check
+    return check_literal
+
+
+#: Generated row readers keyed by source text (see :func:`_row_reader`).
+_READER_CACHE: Dict[str, object] = {}
+
+
+def _row_reader(parts: Tuple[Tuple[bool, int], ...]):
+    """A generated function building one code tuple from a row.
+
+    Each part is ``(True, index)`` — copy ``row[index]`` — or ``(False,
+    code)`` — a constant code.  The body is a single tuple display, so
+    a pinned probe turns an outer row into an index key (or a seeded
+    slot array) with no per-part loop.
+    """
+    source = (
+        "lambda _r: ("
+        + "".join(f"_r[{v}], " if is_row else f"{v}, " for is_row, v in parts)
+        + ")"
+    )
+    reader = _READER_CACHE.get(source)
+    if reader is None:
+        reader = eval(compile(source, "<row-reader>", "eval"))  # noqa: S307
+        _READER_CACHE[source] = reader
+    return reader
 
 
 class _EncodedPlan:
@@ -612,14 +686,14 @@ class _EncodedPlan:
         if not negations:
             yield from blocks
             return
+        probes = None
         for block in blocks:
+            if probes is None:
+                probes = [inner.probe(store, fill) for inner, fill in negations]
             kept = [
                 values
                 for values in block
-                if not any(
-                    inner.exists_filled(store, fill, values)
-                    for inner, fill in negations
-                )
+                if not any(probe(values) for probe in probes)
             ]
             if kept:
                 yield kept
@@ -630,31 +704,77 @@ class _EncodedPlan:
         """Row-pipeline finalize (pre-vectorization semantics, used
         under :func:`row_probe_mode`)."""
         unscheduled = self.query.unscheduled
-        negations = self.negations
+        probes = None
         for values in stream:
             if unscheduled:
                 raise UnsafeDependencyError(
                     f"comparisons {list(unscheduled)} have unbound "
                     f"variables in {self.query.body}"
                 )
-            ok = True
-            for inner, fill in negations:
-                if inner.exists_filled(store, fill, values):
-                    ok = False
-                    break
-            if ok:
+            if probes is None:
+                probes = [
+                    inner.probe(store, fill) for inner, fill in self.negations
+                ]
+            if not any(probe(values) for probe in probes):
                 yield tuple(values)
 
-    def exists_filled(self, store, fill, outer_values) -> bool:
-        """Not-exists probe seeded from an outer slot array via ``fill``
-        ((inner slot, outer index) pairs)."""
-        values = [0] * self.width
-        for inner_slot, outer_index in fill:
-            values[inner_slot] = outer_values[outer_index]
-        return self.exists_values(store, values)
+    def probe(self, store, fill: Tuple[Tuple[int, int], ...]):
+        """An existence test pinned to ``store`` and one outer row layout.
+
+        ``fill`` pairs each seeded slot of this plan with the position
+        of its code in the outer rows (see :meth:`fill_for`); it must
+        cover every bound variable of the plan.  The
+        returned callable takes an outer row and answers whether at
+        least one row of this plan extends it.  Everything that does
+        not depend on the row is resolved here, once.  A single-probe
+        plan goes straight from the outer row to the index key — one
+        generated tuple display and one hash-membership test against
+        the index fetched here, with seed comparisons compiled onto the
+        outer row.  Other plans build the seeded slot array the same
+        way and run :meth:`exists_values`.
+
+        The pinned index stays current while the store only grows
+        (:meth:`ColumnarInstance.add_encoded` maintains live indexes in
+        place).  Build a new probe after removing rows or rewriting
+        nulls.
+        """
+        outer_of = dict(fill)
+        if self._single_probe:
+            step = self.steps[0]
+            key_of = _row_reader(
+                tuple(
+                    (True, outer_of[v]) if is_slot else (False, v)
+                    for is_slot, v in step.key_parts
+                )
+            )
+            index = store.encoded_index(step.relation, step.positions)
+            outer_slot_of = {self.varlist[slot]: i for slot, i in fill}
+            checks = tuple(
+                _compile_comparison(c, outer_slot_of, self.pool)
+                for c in self.query.seed_comparisons
+            )
+            if not checks:
+                return lambda row: key_of(row) in index
+
+            def holds(row) -> bool:
+                for check in checks:
+                    if not check(row):
+                        return False
+                return key_of(row) in index
+
+            return holds
+        values_of = _row_reader(
+            tuple(
+                (True, outer_of[slot]) if slot in outer_of else (False, 0)
+                for slot in range(self.width)
+            )
+        )
+        exists_values = self.exists_values
+        return lambda row: exists_values(store, values_of(row))
 
     def exists_values(self, store, values) -> bool:
-        """Whether at least one row extends the pre-filled slot array.
+        """Whether at least one row extends the pre-filled slot array
+        (a list or tuple of codes aligned to :attr:`varlist`).
 
         Short-circuits at the first surviving row: the single-probe
         fast path is one hash lookup, and the block pipeline stops
@@ -668,7 +788,7 @@ class _EncodedPlan:
             key = tuple(values[v] if s else v for s, v in step.key_parts)
             return key in store.encoded_index(step.relation, step.positions)
         if _ROW_PROBE_MODE:
-            stream: Iterator[List[int]] = iter((values,))
+            stream: Iterator[List[int]] = iter((list(values),))
             for step in self.steps:
                 stream = self._join_rows(stream, step, store, None)
             for _ in self._finalize_rows(stream, store):

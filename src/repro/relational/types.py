@@ -20,6 +20,7 @@ __all__ = [
     "check_term",
     "parse_literal",
     "term_order_key",
+    "term_compare_key",
 ]
 
 
@@ -36,6 +37,23 @@ def term_order_key(term: Term):
     if isinstance(term, Null):
         return (1, term.id, "")
     return (0, 0, repr(term))
+
+
+def term_compare_key(term: Term):
+    """Typed key for order comparisons (``<``, ``<=``, ``>``, ``>=``).
+
+    ``(0, value)`` for numeric constants (int, float, bool), ``(1,
+    value)`` for strings, ``None`` for a null.  Two keys order-compare
+    only when their kinds match — exactly the pairs
+    :meth:`~repro.logic.atoms.Comparison.evaluate` accepts; a null or a
+    kind mismatch is its :class:`TypingError`, which matching reads as
+    "does not hold".  The columnar kernel's pool caches this key per
+    code, so encoded comparisons never decode.
+    """
+    if isinstance(term, Null):
+        return None
+    value = term.value  # type: ignore[union-attr]
+    return (1, value) if isinstance(value, str) else (0, value)
 
 
 class DataType(enum.Enum):

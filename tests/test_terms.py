@@ -30,6 +30,15 @@ class TestConstant:
         # Python's `1 == True` carries over; documents the behaviour.
         assert Constant(True).value == 1
 
+    def test_equal_numerics_are_one_term(self):
+        # The documented semantics: numeric constants compare by value
+        # across int/float/bool, with equal hashes, so they collapse in
+        # sets (and share one code in the columnar term pool).
+        assert Constant(1) == Constant(1.0) == Constant(True)
+        assert len({Constant(1), Constant(1.0), Constant(True)}) == 1
+        assert Constant(0) == Constant(False)
+        assert Constant(True) != Constant("True")
+
     def test_rejects_non_scalar(self):
         with pytest.raises(TypeError):
             Constant([1, 2])  # type: ignore[arg-type]
