@@ -250,8 +250,9 @@ class CompiledDependency:
         return self._premise.anchor_matches_encoded(working, anchor_index, restrict)
 
     def warm_enumeration_plans(self, working: Instance) -> None:
-        """Pre-compile anchored premise plans and their indexes (called
-        pre-fork so replica workers inherit both copy-on-write).
+        """Pre-compile anchored premise plans (called pre-fork so replica
+        workers inherit them copy-on-write; each replica builds the
+        indexes its shards probe).
 
         Over the columnar kernel this also lowers the satisfaction plans
         and disjunct kernels, interning every literal the dependency

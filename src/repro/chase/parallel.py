@@ -39,6 +39,7 @@ every tier serial.
 
 from __future__ import annotations
 
+import gc
 import multiprocessing
 import os
 import time
@@ -299,6 +300,11 @@ def _replica_worker(
     and forked children share the parent's clock, so the parent can
     splice these spans into its own timeline unadjusted.
     """
+    # Everything inherited from the parent moves to the collector's
+    # permanent generation: a full collection in this worker then walks
+    # only the worker's own objects, instead of the whole inherited heap
+    # (writing to, and so copying, every page it touches).
+    gc.freeze()
     encoded = isinstance(replica, ColumnarInstance)
     # The round's delta, frozen at the round's first enumeration (keyed
     # by the generation it was taken from).  It must NOT be recomputed
@@ -482,9 +488,9 @@ class ProcessSharder(MatchSharder):
         self._broken = False
         self._connections = []
         self._processes = []
-        # Warm anchored plans and their hash indexes in the parent:
-        # forked replicas inherit them copy-on-write instead of each
-        # rebuilding the same indexes the serial chase builds once.
+        # Compile anchored plans in the parent: forked replicas inherit
+        # them copy-on-write.  Their hash indexes are built replica-side,
+        # in parallel (see CompiledDependency.warm_enumeration_plans).
         # Over the columnar kernel warm-up also interns every literal
         # the dependencies mention, so the term-pool snapshot the fork
         # ships is complete for almost every run — the mark records

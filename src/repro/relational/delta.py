@@ -327,14 +327,17 @@ class DeltaPlans:
         return list(plan.bindings(instance, seed, delta=restrict))
 
     def warm(self, instance: Instance) -> None:
-        """Compile every anchored plan and build the indexes it probes.
+        """Compile every anchored plan (indexes are left to the first probe).
 
         The parallel chase calls this on the parent *before* forking its
-        replica workers: plans and hash indexes are inherited
-        copy-on-write, so N workers don't each rebuild the same indexes
-        that the serial chase builds once.  Over the columnar kernel the
-        encoded plans are lowered here too, which interns every literal
-        the body mentions — forked workers then never grow the pool.
+        replica workers, which inherit the plans copy-on-write.  Over the
+        columnar kernel the encoded plans are lowered here too, which
+        interns every literal the body mentions — forked workers then
+        never grow the pool.  The hash indexes the plans probe are *not*
+        built here: each replica builds the ones its shards probe, in
+        parallel with the others and in its own heap, instead of the
+        parent building them serially and every replica then taking
+        copy-on-write faults on the shared index objects it reads.
         """
         columnar = isinstance(instance, ColumnarInstance)
         for anchor_index in range(len(self.body.atoms)):
@@ -346,12 +349,7 @@ class DeltaPlans:
                 first_atom=anchor_index,
             )
             if columnar:
-                encoded = plan.encoded(instance.pool)
-                for step in encoded.steps:
-                    instance.encoded_index(step.relation, step.positions)
-            else:
-                for step in plan.steps:
-                    instance.index(step.relation, step.positions)
+                plan.encoded(instance.pool)
 
     # -- encoded evaluation (columnar kernel fast path) --------------------
 

@@ -43,7 +43,7 @@ import threading
 from array import array
 from bisect import bisect_left, bisect_right, insort
 from collections import defaultdict
-from itertools import compress
+from itertools import compress, repeat
 from operator import itemgetter
 from typing import (
     Dict,
@@ -96,14 +96,18 @@ class TermPool:
     Equal constants share one code, and constant equality is Python
     value equality: ``Constant(1)``, ``Constant(1.0)`` and
     ``Constant(True)`` are one term to the pool, which decodes the code
-    as whichever of them was interned first.
+    as whichever of them was interned first.  The id table is therefore
+    keyed by the raw value, hashed and compared in C, rather than by
+    the ``Constant`` dataclass and its Python-level ``__hash__`` and
+    ``__eq__``.
     """
 
     __slots__ = ("_lock", "_ids", "_terms", "_orders", "typed_keys")
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._ids: Dict[Constant, int] = {}
+        #: Constant *value* -> code (see the class docstring).
+        self._ids: Dict[object, int] = {}
         # Slot 0 is a sentinel so code == list index.
         self._terms: List[Optional[Term]] = [None]
         self._orders: List[Optional[Tuple[int, int, str]]] = [None]
@@ -121,11 +125,12 @@ class TermPool:
         """Intern (or look up) a ground term; returns its code."""
         if isinstance(term, Null):
             return -(term.id + 1)
-        code = self._ids.get(term)
+        value = term.value  # type: ignore[union-attr]
+        code = self._ids.get(value)
         if code is not None:
             return code
         with self._lock:
-            code = self._ids.get(term)
+            code = self._ids.get(value)
             if code is None:
                 code = len(self._terms)
                 self._terms.append(term)
@@ -133,7 +138,7 @@ class TermPool:
                 self.typed_keys.append(term_compare_key(term))
                 # Publish the id last: lock-free readers that obtain a
                 # code always find its entry populated.
-                self._ids[term] = code
+                self._ids[value] = code
         return code
 
     def try_encode(self, term: Term) -> Optional[int]:
@@ -145,7 +150,9 @@ class TermPool:
         """
         if isinstance(term, Null):
             return -(term.id + 1)
-        return self._ids.get(term)
+        if not isinstance(term, Constant):
+            return None
+        return self._ids.get(term.value)
 
     def decode(self, code: int) -> Term:
         """The term behind a code (nulls decode hint-less; instances
@@ -190,7 +197,7 @@ class TermPool:
                 self._terms.append(term)
                 self._orders.append(term_order_key(term))
                 self.typed_keys.append(term_compare_key(term))
-                self._ids[term] = code  # type: ignore[index]
+                self._ids[term.value] = code  # type: ignore[union-attr]
 
 
 _GLOBAL_POOL = TermPool()
@@ -326,6 +333,22 @@ class _Table:
             rows = compress(rows, [g >= 0 for g in self.generations])
         return list(rows)
 
+    def live_keys(
+        self, positions: Sequence[int]
+    ) -> Iterator[Tuple[int, Tuple[int, ...]]]:
+        """``(row id, code tuple at positions)`` for every live row, in
+        row-id order — zipped off the columns like :meth:`live_rows`;
+        the scan behind index builds and planner key counts."""
+        size = len(self.generations)
+        if positions:
+            keys = zip(*[self.columns[i] for i in positions])
+        else:
+            keys = repeat((), size)
+        pairs = enumerate(keys)
+        if self.live_count != size:
+            pairs = compress(pairs, [g >= 0 for g in self.generations])
+        return pairs
+
     def copy(self) -> "_Table":
         clone = _Table.__new__(_Table)
         clone.arity = self.arity
@@ -457,7 +480,7 @@ class ColumnarInstance:
         return -(null.id + 1)
 
     def encode_row(self, terms: Sequence[Term]) -> Tuple[int, ...]:
-        return tuple(self.encode_term(term) for term in terms)
+        return tuple(map(self.encode_term, terms))
 
     def decode_row(self, relation: str, row_id: int) -> Atom:
         table = self._tables[relation]
@@ -850,13 +873,17 @@ class ColumnarInstance:
                 return self._indexes[key]
             built: Dict[Tuple[int, ...], List[int]] = {}
             table = self._tables.get(relation)
-            if table is not None:
-                columns = [table.columns[i] for i in key[1]]
+            if table is not None and key[1] == tuple(range(table.arity)):
+                # Whole rows: the row-dedup dict already maps each
+                # distinct row to its one id.
                 generations = table.generations
-                for row_id in range(len(generations)):
-                    if generations[row_id] < 0:
-                        continue
-                    index_key = tuple(column[row_id] for column in columns)
+                built = {
+                    row: [row_id]
+                    for row, row_id in table.row_ids.items()
+                    if generations[row_id] >= 0
+                }
+            elif table is not None:
+                for row_id, index_key in table.live_keys(key[1]):
                     bucket = built.get(index_key)
                     if bucket is None:
                         built[index_key] = [row_id]
@@ -899,16 +926,15 @@ class ColumnarInstance:
         cached = self._key_count_cache.get(key)
         if cached is not None and cached[0] == version:
             return cached[1]
-        seen: Set[Tuple[int, ...]] = set()
+        count = 0
         table = self._tables.get(relation)
-        if table is not None:
-            columns = [table.columns[i] for i in key[1]]
-            generations = table.generations
-            for row_id in range(len(generations)):
-                if generations[row_id] >= 0:
-                    seen.add(tuple(column[row_id] for column in columns))
-        self._key_count_cache[key] = (version, len(seen))
-        return len(seen)
+        if table is not None and len(set(key[1])) == table.arity:
+            # Whole rows (in any order): live rows are distinct.
+            count = table.live_count
+        elif table is not None:
+            count = len({index_key for _, index_key in table.live_keys(key[1])})
+        self._key_count_cache[key] = (version, count)
+        return count
 
     def cached_key_count(
         self, relation: str, positions: Sequence[int]

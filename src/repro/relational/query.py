@@ -353,9 +353,12 @@ def _compile_comparison(comparison: Comparison, slot_of, pool: TermPool):
     """A comparison as a closure over an encoded row, deciding on codes.
 
     ``slot_of`` maps each of the comparison's variables to its position
-    in the rows the closure will see.  ``=`` and ``!=`` compare codes
-    (the pool interns by term equality, so code equality *is* term
-    equality, nulls included).  Order operators read the pool's cached
+    in the rows the closure will see.  ``=`` and ``!=`` between two
+    variables compare codes (the pool interns by term equality, so code
+    equality *is* term equality, nulls included); against a constant
+    literal they compare the row's cached typed key with the literal's,
+    which is the same equality without interning the literal into the
+    pool.  Order operators read the pool's cached
     typed keys (:attr:`TermPool.typed_keys`): a null or a pair of
     different kinds (numeric vs str) never holds — the outcome
     :meth:`Comparison.evaluate` reaches through its ``TypingError`` —
@@ -379,10 +382,17 @@ def _compile_comparison(comparison: Comparison, slot_of, pool: TermPool):
             if op == "=":
                 return lambda row: row[a] == row[b]
             return lambda row: row[a] != row[b]
-        code = pool.encode(right)
+        typed = pool.typed_keys
+        key = term_compare_key(right)
+        if key is None:
+            # A null literal: its code is fixed and never interned.
+            code = pool.encode(right)
+            if op == "=":
+                return lambda row: row[a] == code
+            return lambda row: row[a] != code
         if op == "=":
-            return lambda row: row[a] == code
-        return lambda row: row[a] != code
+            return lambda row: row[a] >= 0 and typed[row[a]] == key
+        return lambda row: row[a] < 0 or typed[row[a]] != key
     compare = _ORDER_OPS[op]
     typed = pool.typed_keys
     if isinstance(right, Variable):
@@ -413,28 +423,23 @@ def _compile_comparison(comparison: Comparison, slot_of, pool: TermPool):
     return check_literal
 
 
-#: Generated row readers keyed by source text (see :func:`_row_reader`).
-_READER_CACHE: Dict[str, object] = {}
-
-
 def _row_reader(parts: Tuple[Tuple[bool, int], ...]):
-    """A generated function building one code tuple from a row.
+    """A function building one code tuple from a row.
 
     Each part is ``(True, index)`` — copy ``row[index]`` — or ``(False,
-    code)`` — a constant code.  The body is a single tuple display, so
-    a pinned probe turns an outer row into an index key (or a seeded
-    slot array) with no per-part loop.
+    code)`` — a constant code.  When every part reads the row the
+    reader is an :func:`operator.itemgetter`, so a pinned probe turns
+    an outer row into an index key with no per-part Python loop.
     """
-    source = (
-        "lambda _r: ("
-        + "".join(f"_r[{v}], " if is_row else f"{v}, " for is_row, v in parts)
-        + ")"
-    )
-    reader = _READER_CACHE.get(source)
-    if reader is None:
-        reader = eval(compile(source, "<row-reader>", "eval"))  # noqa: S307
-        _READER_CACHE[source] = reader
-    return reader
+    indices = tuple(v for is_row, v in parts if is_row)
+    if len(indices) < len(parts):
+        return lambda row: tuple([row[v] if is_row else v for is_row, v in parts])
+    if len(indices) == 1:
+        index = indices[0]
+        return lambda row: (row[index],)
+    if not indices:
+        return lambda _row: ()
+    return operator.itemgetter(*indices)
 
 
 class _EncodedPlan:
@@ -728,7 +733,7 @@ class _EncodedPlan:
         least one row of this plan extends it.  Everything that does
         not depend on the row is resolved here, once.  A single-probe
         plan goes straight from the outer row to the index key — one
-        generated tuple display and one hash-membership test against
+        :func:`_row_reader` call and one hash-membership test against
         the index fetched here, with seed comparisons compiled onto the
         outer row.  Other plans build the seeded slot array the same
         way and run :meth:`exists_values`.

@@ -258,3 +258,62 @@ class TestAdoptedEntries:
             expected = holds(op, left, right)
             assert step.seed_comparisons[0](values) == expected
             assert kernel_check((lcode, rcode)) == expected
+
+
+class TestLiteralsAreNotInterned:
+    """Compiling a comparison against a literal reads its typed key and
+    leaves the pool alone: no growth, and no first-interned-wins decode
+    of a later equal numeric."""
+
+    @pytest.mark.parametrize("op", OPS)
+    def test_compiling_leaves_the_pool_unchanged(self, op):
+        pool = TermPool()
+        before = len(pool)
+        for literal in (Constant(True), Constant(7.5), Constant("q")):
+            body = Conjunction(
+                atoms=(Atom("R", (T, X)),),
+                comparisons=(Comparison(op, X, literal),),
+            )
+            plan = compile_query(body).encoded(pool)
+            assert plan.steps[0].comparisons
+            _DisjunctKernel(
+                Disjunct(comparisons=(Comparison(op, literal, X),)),
+                {X: 0},
+                pool,
+            )
+        assert len(pool) == before
+
+    def test_literal_matches_rows_interned_after_compiling(self):
+        pool = TermPool()
+        body = Conjunction(
+            atoms=(Atom("R", (T, X)),),
+            comparisons=(Comparison("=", X, Constant(True)),),
+        )
+        plan = compile_query(body).encoded(pool)
+        store = ColumnarInstance(pool=pool)
+        store.add(Atom("R", (Constant("a"), Constant(1))))
+        store.add(Atom("R", (Constant("b"), Constant("1"))))
+        rows = list(plan.rows(store))
+        assert [store.decode_term(row[plan.slot_of[T]]) for row in rows] == [
+            Constant("a")
+        ]
+        # The row still renders as the value it was added with.
+        assert str(store.decode_term(rows[0][plan.slot_of[X]])) == "1"
+
+
+class TestRowReader:
+    @pytest.mark.parametrize(
+        "parts, expected",
+        [
+            ((), ()),
+            (((True, 2),), (12,)),
+            (((True, 2), (True, 0)), (12, 10)),
+            (((False, 7),), (7,)),
+            (((True, 1), (False, -3), (True, 1)), (11, -3, 11)),
+        ],
+    )
+    def test_builds_a_code_tuple(self, parts, expected):
+        from repro.relational.query import _row_reader
+
+        for row in ((10, 11, 12), [10, 11, 12]):
+            assert _row_reader(parts)(row) == expected

@@ -9,12 +9,13 @@ suite (:mod:`tests.test_kernel_differential`) builds on.
 """
 
 import pickle
+from itertools import combinations, permutations
 
 import pytest
 
 from repro.errors import SchemaError
 from repro.logic.atoms import Atom
-from repro.logic.terms import Constant, Null
+from repro.logic.terms import Constant, Null, Variable
 from repro.relational.instance import Instance
 from repro.relational.kernel import (
     ColumnarInstance,
@@ -59,6 +60,9 @@ class TestTermPool:
         assert len(pool) == 0
         code = pool.encode(Constant("real"))
         assert pool.try_encode(Constant("real")) == code
+        one = pool.encode(Constant(1))
+        assert pool.try_encode(Constant(True)) == one  # equal numerics
+        assert pool.try_encode(Variable("x")) is None
 
     def test_adopt_entries_keeps_fork_replicas_in_lockstep(self):
         parent = TermPool()
@@ -189,6 +193,30 @@ class TestExtendEncoded:
         inst = ColumnarInstance(pool=TermPool())
         with pytest.raises(SchemaError, match="mixed arities"):
             inst.extend_encoded("R", [(1, 2), (1, 2, 3)])
+
+
+class TestIndexScans:
+    """Index builds and planner key counts against a row-by-row scan."""
+
+    def test_builds_and_counts_match_a_scan(self):
+        inst = ColumnarInstance(pool=TermPool())
+        inst.add_all(atom("R", i % 4, i % 3, i % 2) for i in range(24))
+        inst.remove(atom("R", 1, 1, 1))  # a tombstone in the scans
+        keysets = [()] + [
+            p
+            for n in (1, 2, 3)
+            for c in combinations(range(3), n)
+            for p in permutations(c)
+        ]
+        for positions in keysets:
+            expected = {}
+            for row_id in inst.live_row_ids("R"):
+                row = inst.row_values("R", row_id)
+                expected.setdefault(
+                    tuple(row[i] for i in positions), []
+                ).append(row_id)
+            assert inst.key_count("R", positions) == len(expected)
+            assert inst.encoded_index("R", positions) == expected
 
 
 class TestPickleAndCopy:
